@@ -65,6 +65,14 @@ format version, flags, payload size, payload CRC — and the checksum is
 the zlib/binascii.crc32 variant by construction. Accepts files or
 directories (a directory validates every ckpt-*.mdc in it).
 
+The validate-digests subcommand checks mdmesh_bench result files (one
+workload each, written with --out) against benchmark/baseline.json: a
+file run at the baseline's digest seed must carry exactly the recorded
+sim_digest for its workload. The digest folds every simulated result of
+the workload's fixed runs, so a differing digest means the simulation
+itself changed. Tier-1 runs it on every workload after a
+`--seed=1 --seconds=0` run.
+
 Usage:
     check_perf_regression.py BASELINE CANDIDATE [--factor 2.0]
     check_perf_regression.py validate-trace TRACE [--min-counter-tracks N]
@@ -72,6 +80,7 @@ Usage:
     check_perf_regression.py validate-flight DUMP [--expect-reason R]
     check_perf_regression.py validate-ckpt PATH... [--min-files N]
     check_perf_regression.py validate-journeys JSONL [--min-journeys N]
+    check_perf_regression.py validate-digests RESULT... --baseline B
 
 Exit status: 0 when every check holds, 1 on any regression, missing key,
 or schema violation. Stdlib only.
@@ -621,7 +630,53 @@ def validate_ckpt(argv):
     print(f"all {len(files)} checkpoint file(s) valid")
 
 
+def validate_digests(argv):
+    ap = argparse.ArgumentParser(
+        prog="check_perf_regression.py validate-digests",
+        description="Check mdmesh_bench result files against the sim "
+        "digests recorded in benchmark/baseline.json.",
+    )
+    ap.add_argument("results", nargs="+", help="mdmesh_bench --out files")
+    ap.add_argument(
+        "--baseline", required=True, help="benchmark/baseline.json"
+    )
+    args = ap.parse_args(argv)
+    with open(args.baseline) as f:
+        base = json.load(f)
+    seed = base.get("digest_seed")
+    digests = base.get("sim_digest")
+    if not isinstance(digests, dict) or not isinstance(seed, int):
+        sys.exit(f"{args.baseline}: expected digest_seed and sim_digest")
+
+    bad = 0
+    for path in args.results:
+        with open(path) as f:
+            raw = json.load(f)
+        workload = raw.get("workload")
+        got = raw.get("sim_digest")
+        if raw.get("smoke") or raw.get("seed") != seed:
+            print(f"  FAIL  {path}: not a seed-{seed} full-size run")
+            bad += 1
+        elif workload not in digests:
+            print(f"  FAIL  {path}: no digest recorded for {workload!r}")
+            bad += 1
+        elif got != digests[workload]:
+            print(
+                f"  FAIL  {path}: {workload} sim_digest {got} differs from "
+                f"{digests[workload]}"
+            )
+            bad += 1
+        else:
+            print(f"  ok    {path}: {workload} sim_digest {got}")
+    if bad:
+        sys.exit(f"{bad} of {len(args.results)} result(s) changed digest")
+    print(f"all {len(args.results)} sim digest(s) match {args.baseline}")
+
+
 def main():
+    if len(sys.argv) > 1 and sys.argv[1] == "validate-digests":
+        validate_digests(sys.argv[2:])
+        return
     if len(sys.argv) > 1 and sys.argv[1] == "validate-ckpt":
         validate_ckpt(sys.argv[2:])
         return

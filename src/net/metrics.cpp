@@ -111,7 +111,7 @@ void RouteResult::WriteJson(JsonWriter& w) const {
     w.Key("traced_packets").Int(journeys->traced_packets);
     w.Key("events").Int(static_cast<std::int64_t>(journeys->events.size()));
     w.Key("sample_rate").Double(journeys->sample_rate);
-    w.Key("sample_seed").Int(journeys->sample_seed);
+    w.Key("sample_seed").UInt(journeys->sample_seed);
     w.Key("truncated").Bool(journeys->truncated);
     w.EndObject();
   }
