@@ -119,11 +119,20 @@ void MetricsPublisher::WriteStatusFile() {
 
 #if !defined(_WIN32)
 void MetricsPublisher::ServeOne(int client_fd) {
+  // Frame the request head (up to the blank line): a GET may arrive split
+  // across TCP segments. One deadline covers the whole head, so a client
+  // that connects and sends nothing, or drips bytes, holds this thread —
+  // and Stop()'s join — for at most kRequestTimeoutMs.
+  std::string request;
   char buf[2048];
-  const ssize_t n = ::recv(client_fd, buf, sizeof(buf) - 1, 0);
-  if (n <= 0) return;
-  buf[n] = '\0';
-  const std::string request(buf);
+  const std::int64_t deadline = SteadyMs() + kRequestTimeoutMs;
+  while (request.find("\r\n\r\n") == std::string::npos) {
+    const std::int64_t left = deadline - SteadyMs();
+    if (left <= 0 || request.size() > kMaxRequestHeadBytes) return;
+    const int n = RecvSome(client_fd, buf, sizeof(buf), static_cast<int>(left));
+    if (n <= 0) return;  // timeout, error, or closed before a full head
+    request.append(buf, static_cast<std::size_t>(n));
+  }
 
   std::string body;
   std::string content_type;
@@ -146,14 +155,7 @@ void MetricsPublisher::ServeOne(int client_fd) {
        << "Content-Length: " << body.size() << "\r\n"
        << "Connection: close\r\n\r\n"
        << body;
-  const std::string out = resp.str();
-  std::size_t sent = 0;
-  while (sent < out.size()) {
-    const ssize_t k = ::send(client_fd, out.data() + sent, out.size() - sent,
-                             0);
-    if (k <= 0) break;
-    sent += static_cast<std::size_t>(k);
-  }
+  SendAll(client_fd, resp.str());
   requests_.fetch_add(1, std::memory_order_relaxed);
 }
 #else

@@ -14,7 +14,8 @@
 // the determinism test pins that delivery traces are byte-identical with
 // the publisher attached. The HTTP server is deliberately tiny: blocking
 // accept with a poll() timeout so Stop() is prompt, one request per
-// connection (Connection: close), GET only.
+// connection (Connection: close), GET only, and a request head framed up to
+// its blank line under one read deadline.
 //
 // ProgressMeter is the human-facing sibling: a rate-limited stderr
 // heartbeat (step, in-flight, steps/sec, ETA against the step cap) shaped
@@ -49,6 +50,12 @@ class MetricsPublisher {
     /// Optional manifest echoed into /status and the status file.
     const RunManifest* manifest = nullptr;
   };
+
+  /// Deadline for one request head to arrive. A silent or stalled client
+  /// holds the publisher thread (and Stop()) for at most this long.
+  static constexpr int kRequestTimeoutMs = 1000;
+  /// Larger request heads are dropped unanswered.
+  static constexpr std::size_t kMaxRequestHeadBytes = 8192;
 
   MetricsPublisher() = default;
   ~MetricsPublisher() { Stop(); }

@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -101,6 +102,21 @@ TEST(PrometheusTest, EveryLineIsCommentOrSample) {
   }
 }
 
+/// Connects to the loopback port; -1 on failure.
+int ConnectLoopback(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
 // ---------------------------------------------------------------------------
 // Live endpoint.
 
@@ -134,6 +150,69 @@ TEST(PublisherTest, ServesMetricsAndStatusOverHttp) {
   pub.Stop();
   EXPECT_FALSE(pub.running());
   pub.Stop();  // idempotent
+}
+
+TEST(PublisherTest, RequestSplitAcrossSegmentsIsServed) {
+  MetricsRegistry reg;
+  reg.counter("engine.routes").Add(4);
+  MetricsPublisher pub;
+  MetricsPublisher::Options opts;
+  opts.registry = &reg;
+  opts.port = 0;
+  ASSERT_TRUE(pub.Start(opts));
+  const int fd = ConnectLoopback(pub.port());
+  ASSERT_GE(fd, 0);
+  // Two sends with a pause between them: the publisher's first recv sees
+  // only "GET /met" and must keep reading until the blank line.
+  const std::string first = "GET /met";
+  const std::string second = "rics HTTP/1.1\r\nHost: localhost\r\n\r\n";
+  (void)!::send(fd, first.data(), first.size(), 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  (void)!::send(fd, second.data(), second.size(), 0);
+  std::string out;
+  char buf[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+    out.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  EXPECT_NE(out.find("200 OK"), std::string::npos) << out;
+  EXPECT_NE(out.find("mdmesh_engine_routes 4"), std::string::npos);
+  pub.Stop();
+}
+
+TEST(PublisherTest, SilentClientCannotBlockStop) {
+  MetricsRegistry reg;
+  MetricsPublisher pub;
+  MetricsPublisher::Options opts;
+  opts.registry = &reg;
+  opts.port = 0;
+  ASSERT_TRUE(pub.Start(opts));
+  const int fd = ConnectLoopback(pub.port());
+  ASSERT_GE(fd, 0);
+  // Let the publisher accept the connection (it polls every 50 ms), so
+  // Stop() lands while ServeOne waits on a client that never sends.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  // Safety net: without a read deadline Stop() would wait for the peer to
+  // close; closing after 10 s turns that hang into a timing failure.
+  std::atomic<bool> stopped{false};
+  std::thread closer([&] {
+    for (int i = 0; i < 1000 && !stopped.load(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ::shutdown(fd, SHUT_RDWR);
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  pub.Stop();
+  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+  stopped.store(true);
+  closer.join();
+  ::close(fd);
+  EXPECT_FALSE(pub.running());
+  EXPECT_LE(ms, MetricsPublisher::kRequestTimeoutMs + 500);
+  EXPECT_EQ(pub.requests_served(), 0);
 }
 
 TEST(PublisherTest, StartFailsWithoutRegistry) {
