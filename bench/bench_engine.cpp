@@ -40,9 +40,8 @@ double PeakRssMb() {
 }
 
 /// One timed run for the E21/E26 wall-clock records. `mode` names the
-/// traversal policy and packet-storage layout under test ("dense",
-/// "sparse", "dense_tiled", "sparse_tiled"); everything else about the run
-/// is fixed by the workload.
+/// traversal policy under test ("dense" or "sparse"); everything else
+/// about the run is fixed by the workload.
 struct WallRecord {
   std::string workload;  ///< "drain_two_phase", "loaded_route", "mega_partial"
   MeshSpec spec;
@@ -84,27 +83,10 @@ void EmitWallRecord(BenchJson& json, const WallRecord& rec) {
   json.AddRaw(os.str());
 }
 
-SparseMode SparseFor(const std::string& mode) {
-  return mode.rfind("dense", 0) == 0 ? SparseMode::kNever : SparseMode::kAuto;
-}
-
-LayoutMode LayoutFor(const std::string& mode) {
-  return mode.size() >= 6 && mode.compare(mode.size() - 6, 6, "_tiled") == 0
-             ? LayoutMode::kTiled
-             : LayoutMode::kLegacy;
-}
-
-/// Engine configuration for one wall-record mode. Tiled modes force the
-/// invariant checker off — with it on the engine falls back to legacy
-/// storage (see EngineOptions::layout), which would silently bench the
-/// wrong thing in a debug build.
+/// Engine configuration for one wall-record mode.
 EngineOptions EngineOptionsFor(const std::string& mode) {
   EngineOptions eopts;
-  eopts.sparse = SparseFor(mode);
-  eopts.layout = LayoutFor(mode);
-  if (eopts.layout == LayoutMode::kTiled) {
-    eopts.invariants = InvariantMode::kOff;
-  }
+  eopts.sparse = mode == "dense" ? SparseMode::kNever : SparseMode::kAuto;
   return eopts;
 }
 
@@ -182,12 +164,8 @@ WallRecord RunLoadedRoute(const MeshSpec& spec, const std::string& mode,
 }
 
 /// Partial-occupancy drain: N/64 random packets on a mesh large enough
-/// that a dense O(N) sweep dominates the per-step cost. This is the
-/// workload class the tiled layout exists for — footprint and step cost
-/// proportional to the tiles packets actually touch — so it is where the
-/// layout must beat the legacy dense sweep, while the full-occupancy
-/// drain fixtures above pin how much the tile indirection costs when
-/// every processor is busy.
+/// that a dense O(N) sweep dominates the per-step cost — the workload
+/// class where the sparse active set must beat the dense sweep.
 WallRecord RunDrainPartial(const MeshSpec& spec, const std::string& mode,
                            int reps) {
   Topology topo = spec.Build();
@@ -225,13 +203,13 @@ WallRecord RunDrainPartial(const MeshSpec& spec, const std::string& mode,
   return rec;
 }
 
-/// --mega: the tiled layout's reason to exist — a 2D n=4096 mesh (16.7M
-/// processors) carrying a *partial* workload of 16384 random packets. The
-/// legacy layout cannot even construct this engine (its parity mailbox
-/// alone is 2 x N x 2d packet slots, tens of GB); the tiled arena
-/// materializes only the tiles the packets touch. The record carries an
-/// RSS guard: the run must fit in 6 GiB, which bounds the footprint by the
-/// Network's queue directory + live tiles, not by a dense O(N) engine.
+/// --mega: a 2D n=4096 mesh (16.7M processors) carrying a *partial*
+/// workload of 16384 random packets. The footprint is the Network's queue
+/// directory (216 bytes per processor) plus the engine's O(N) tables:
+/// coordinates, neighbors, and the parity mailbox at 4-byte handles and
+/// presence bytes per directed link — a mailbox of whole packets would
+/// have been 2 x N x 2d x 48 bytes, 6 GiB on its own. The record carries
+/// an RSS guard: the run must fit in 6 GiB.
 WallRecord RunMegaPartial() {
   const MeshSpec spec{2, 4096, Wrap::kMesh};
   const std::int64_t kPackets = 16384;
@@ -239,7 +217,7 @@ WallRecord RunMegaPartial() {
   WallRecord rec;
   rec.workload = "mega_partial";
   rec.spec = spec;
-  rec.mode = "sparse_tiled";
+  rec.mode = "sparse";
   rec.rss_guard_mb = 6144.0;
   Network net(topo);
   Rng rng(4096);
@@ -383,18 +361,18 @@ void WriteThroughputJson(const OutputFlags& flags) {
   const std::vector<MeshSpec> drain_specs = {primary, {3, 32, Wrap::kMesh}};
   const std::vector<MeshSpec> loaded_specs = {{2, 64, Wrap::kMesh}};
   for (const MeshSpec& spec : drain_specs) {
-    for (const char* mode : {"dense", "sparse", "dense_tiled", "sparse_tiled"}) {
+    for (const char* mode : {"dense", "sparse"}) {
       EmitWallRecord(json, RunDrainTwoPhase(spec, mode, reps));
     }
   }
   for (const MeshSpec& spec : loaded_specs) {
-    for (const char* mode : {"dense", "sparse", "dense_tiled", "sparse_tiled"}) {
+    for (const char* mode : {"dense", "sparse"}) {
       EmitWallRecord(json, RunLoadedRoute(spec, mode, reps));
     }
   }
   const std::vector<MeshSpec> partial_specs = {{2, 512, Wrap::kMesh}};
   for (const MeshSpec& spec : partial_specs) {
-    for (const char* mode : {"dense", "sparse", "dense_tiled", "sparse_tiled"}) {
+    for (const char* mode : {"dense", "sparse"}) {
       EmitWallRecord(json, RunDrainPartial(spec, mode, reps));
     }
   }

@@ -55,8 +55,6 @@ int main(int argc, char** argv) {
   cli.AddInt("measure", 512, "measurement-window steps");
   cli.AddBool("drain", false, "route the backlog out after the window");
   cli.AddInt("seed", 1, "seed for all traffic draws");
-  cli.AddString("layout", "auto",
-                "packet-storage layout (auto, legacy, tiled)");
   cli.AddBool("saturate", false, "bisect for the saturation rate instead");
   cli.AddInt("server", 0,
              "submit to an experiment_server on this 127.0.0.1 port and "
@@ -101,11 +99,6 @@ int main(int argc, char** argv) {
     rspec.pattern_seed = dopts.seed;
     rspec.driver = dopts;
     rspec.priority = static_cast<int>(cli.GetInt("priority"));
-    if (!ParseLayoutMode(cli.GetString("layout"), &rspec.layout)) {
-      std::fprintf(stderr, "unknown layout: %s\n",
-                   cli.GetString("layout").c_str());
-      return 2;
-    }
     const HttpResult post =
         HttpFetch(server_port, "POST", "/runs", rspec.ToJson());
     if (!post.ok || post.status != 202) {
@@ -192,20 +185,6 @@ int main(int argc, char** argv) {
   MetricsRegistry metrics;
   ThreadPoolActivity activity;
   EngineOptions eopts;
-  {
-    // Injector-driven runs support either storage layout; the crash drill
-    // passes --layout=tiled to prove checkpoint/resume under the tile arena.
-    const std::string layout = cli.GetString("layout");
-    if (layout == "legacy") {
-      eopts.layout = LayoutMode::kLegacy;
-    } else if (layout == "tiled") {
-      eopts.layout = LayoutMode::kTiled;
-    } else if (layout != "auto") {
-      std::fprintf(stderr, "unknown layout: %s (auto, legacy, tiled)\n",
-                   layout.c_str());
-      return 2;
-    }
-  }
   if (out.WantsPerfetto()) {
     eopts.probe = &trace;
     ThreadPool::Global().set_activity(&activity);
@@ -216,7 +195,7 @@ int main(int argc, char** argv) {
   }
 
   // Packet forensics: --journeys arms the deterministic journey sampler.
-  // Traces are byte-identical across thread counts and layouts, so the
+  // Traces are byte-identical across thread counts, so the
   // JSONL artifact is a stable forensic record of who waited where and why.
   JourneyTracer journeys(JourneyOptionsFromFlags(out));
   if (out.WantsJourneys()) eopts.journeys = &journeys;

@@ -14,15 +14,15 @@ rebuild), not single-digit-percent drift; tighten it for controlled
 hardware with --factor.
 
 Records may also carry peak_rss_mb (process peak resident set when the
-record was emitted; tiled-layout modes like "dense_tiled"/"sparse_tiled"
-use it to pin "footprint proportional to in-flight packets"). Two memory
-checks ride along with the throughput guard:
+record was emitted; it pins the engine's footprint, e.g. a mailbox of
+4-byte handles rather than whole packets). Two memory checks ride along
+with the throughput guard:
 
   * relative: on overlapping keys where both sides report a positive
     peak_rss_mb, the candidate must stay within
     max(baseline * 2, baseline + 256 MiB) — slack for allocator and
-    shared-machine noise while still catching an O(N) footprint sneaking
-    back into a tiled path.
+    shared-machine noise while still catching a per-processor table
+    growing by a multiple.
   * absolute: any candidate record carrying rss_guard_mb (the --mega
     n=4096 fixture) must satisfy peak_rss_mb <= rss_guard_mb, even when
     the baseline lacks the key.

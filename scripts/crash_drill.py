@@ -107,10 +107,6 @@ def main():
     ap.add_argument("--workdir", default=None,
                     help="directory for the checkpoint dir (default: a "
                     "fresh temp dir, removed on success)")
-    ap.add_argument("--layout", default="auto",
-                    choices=("auto", "legacy", "tiled"),
-                    help="engine packet-storage layout to drill "
-                    "(passed through to workload_demo)")
     ap.add_argument("--timeout", type=float, default=120.0,
                     help="seconds to wait for checkpoints / runs")
     args = ap.parse_args()
@@ -136,7 +132,6 @@ def main():
         f"--warmup={args.warmup}",
         f"--measure={args.measure}",
         f"--rate-pm={args.rate_pm}",
-        f"--layout={args.layout}",
         "--drain",
     ]
 

@@ -61,7 +61,6 @@ def build_spec(args):
             "drain": args.drain,
             "seed": args.seed,
         },
-        "engine": {"layout": args.layout},
     }
     if args.name:
         spec["name"] = args.name
@@ -145,8 +144,6 @@ def main():
     sp.add_argument("--measure", type=int, default=128)
     sp.add_argument("--drain", action="store_true")
     sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--layout", default="auto",
-                    choices=("auto", "legacy", "tiled"))
     sp.set_defaults(fn=cmd_submit)
 
     lp = sub.add_parser("list", help="GET /runs")

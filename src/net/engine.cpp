@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "net/engine_tiled.h"
 #include "net/greedy_hop.h"
 #include "obs/critical_path.h"
 #include "util/math.h"
@@ -46,7 +45,6 @@ std::uint64_t HashEngineOptions(const EngineOptions& opts) {
   mix(static_cast<std::uint64_t>(opts.stall_window));
   mix(static_cast<std::uint64_t>(opts.invariants));
   mix(static_cast<std::uint64_t>(opts.sparse));
-  mix(static_cast<std::uint64_t>(opts.layout));
   std::uint64_t threshold_bits = 0;
   static_assert(sizeof(threshold_bits) == sizeof(opts.sparse_threshold));
   std::memcpy(&threshold_bits, &opts.sparse_threshold, sizeof(threshold_bits));
@@ -67,17 +65,6 @@ const char* SparseModeName(SparseMode mode) {
   }
 }
 
-const char* LayoutModeName(LayoutMode mode) {
-  switch (mode) {
-    case LayoutMode::kLegacy:
-      return "legacy";
-    case LayoutMode::kTiled:
-      return "tiled";
-    default:
-      return "auto";
-  }
-}
-
 RunManifest MakeRunManifest(const Topology& topo, const EngineOptions& opts) {
   RunManifest m;
   m.d = topo.dim();
@@ -87,7 +74,6 @@ RunManifest MakeRunManifest(const Topology& topo, const EngineOptions& opts) {
                                    : ThreadPool::Global().workers();
   m.build_type = BuildTypeName();
   m.sparse_mode = SparseModeName(opts.sparse);
-  m.layout = LayoutModeName(opts.layout);
   char hex[17];
   std::snprintf(hex, sizeof(hex), "%016llx",
                 static_cast<unsigned long long>(HashEngineOptions(opts)));
@@ -98,45 +84,35 @@ RunManifest MakeRunManifest(const Topology& topo, const EngineOptions& opts) {
 Engine::Engine(const Topology& topo, EngineOptions opts)
     : topo_(&topo), opts_(opts), d_(topo.dim()), n_(topo.side()) {
   if (opts_.pool == nullptr) opts_.pool = &ThreadPool::Global();
-  // Resolve the storage layout once. The tiled arena cannot serve an active
-  // InvariantChecker (the checker validates legacy storage directly), so
-  // checker runs fall back to legacy — trace-identical by the layout
-  // equality contract. Injector runs always bypass the checker.
-  const bool want_tiled =
-      opts_.layout == LayoutMode::kTiled ||
-      (opts_.layout == LayoutMode::kAuto &&
-       topo.size() >= kTiledAutoThreshold);
-  use_tiled_ = want_tiled && (opts_.injector != nullptr ||
-                              !InvariantsEnabled(opts_.invariants));
   const auto links = static_cast<std::size_t>(2 * d_);
+  const auto procs = static_cast<std::size_t>(topo.size());
+  const std::size_t shards = std::max<std::size_t>(1, opts_.pool->workers());
+  shard_bits_ = static_cast<int>(std::bit_width(shards - 1));
+  // A handle packs (arena index << shard_bits_) | shard into 32 bits, and
+  // one step's bids number at most one per directed link. The bound also
+  // keeps every processor id inside the 32-bit neighbor table.
+  if ((std::uint64_t{procs} * links << shard_bits_) > (std::uint64_t{1} << 32)) {
+    throw std::invalid_argument(
+        "Engine: topology too large for 32-bit mailbox handles");
+  }
   mask_stride_ = (links + 7) / 8 * 8;
-  if (use_tiled_) {
-    // Every legacy O(N) table (coordinate/neighbor tables, winner slots,
-    // double-buffered mailbox) stays empty: the tiled arena's footprint is
-    // what bounds the engine's memory, proportional to occupied tiles.
-    tiled_ = std::make_unique<TiledEngine>(topo, opts_.pool);
-  } else {
-    if (topo.size() > std::numeric_limits<std::int32_t>::max()) {
-      throw std::invalid_argument(
-          "Engine: topology exceeds the 32-bit neighbor table");
-    }
-    coords_ = topo.BuildCoordTable();
-    slot_.resize(static_cast<std::size_t>(topo.size()) * links);
-    // Double-buffered mailbox (see engine.h): packet entries plus padded
-    // presence rows, both sized 2 x N x row.
-    in_pkt_.resize(2 * slot_.size());
-    in_mask_.assign(2 * static_cast<std::size_t>(topo.size()) * mask_stride_,
-                    0);
-    // Flat neighbor table: the bid and commit hot loops probe links with one
-    // load instead of re-deriving coordinates per hop.
-    nbr_.resize(slot_.size());
-    for (ProcId p = 0; p < topo.size(); ++p) {
-      const std::size_t base = static_cast<std::size_t>(p) * links;
-      for (int dim = 0; dim < d_; ++dim) {
-        for (int dir = 0; dir < 2; ++dir) {
-          nbr_[base + static_cast<std::size_t>(dim * 2 + dir)] =
-              static_cast<std::int32_t>(topo.Neighbor(p, dim, dir));
-        }
+  coords_ = topo.BuildCoordTable();
+  if (opts_.injector == nullptr && InvariantsEnabled(opts_.invariants)) {
+    slot_.resize(procs * links);  // only the checker reads winner slots
+  }
+  // Double-buffered mailbox (see engine.h): handles plus padded presence
+  // rows, both sized 2 x N x row.
+  in_hdl_.resize(2 * procs * links);
+  in_mask_.assign(2 * procs * mask_stride_, 0);
+  // Flat neighbor table: the bid and commit hot loops probe links with one
+  // load instead of re-deriving coordinates per hop.
+  nbr_.resize(procs * links);
+  for (ProcId p = 0; p < topo.size(); ++p) {
+    const std::size_t base = static_cast<std::size_t>(p) * links;
+    for (int dim = 0; dim < d_; ++dim) {
+      for (int dir = 0; dir < 2; ++dir) {
+        nbr_[base + static_cast<std::size_t>(dim * 2 + dir)] =
+            static_cast<std::int32_t>(topo.Neighbor(p, dim, dir));
       }
     }
   }
@@ -156,11 +132,20 @@ Engine::Engine(const Topology& topo, EngineOptions opts)
   }
 }
 
-Engine::~Engine() = default;
+inline void Engine::Post(WorkerScratch* s, int parity, std::size_t r,
+                        std::size_t e, const Packet& pkt) {
+  std::vector<Packet>& arena = s->arena[parity];
+  const std::size_t par = static_cast<std::size_t>(parity);
+  in_hdl_[(par * (in_hdl_.size() / 2)) + r * static_cast<std::size_t>(2 * d_) +
+          e] = static_cast<std::uint32_t>(arena.size() << shard_bits_) |
+               s->shard;
+  arena.push_back(pkt);
+  in_mask_[par * (in_mask_.size() / 2) + r * mask_stride_ + e] = 1;
+}
 
 template <bool kFaults, bool kSparse, bool kRecordSlots>
 void Engine::BidProc(PacketQueue* queues, ProcId p, std::int64_t step,
-                     int parity, [[maybe_unused]] WorkerScratch* s) {
+                     int parity, WorkerScratch* s) {
   const auto links = static_cast<std::size_t>(2 * d_);
   const std::size_t base = static_cast<std::size_t>(p) * links;
   auto& q = queues[static_cast<std::size_t>(p)];
@@ -210,13 +195,7 @@ void Engine::BidProc(PacketQueue* queues, ProcId p, std::int64_t step,
       }
       pkt.flags |= Packet::kMoving;
       const auto r = static_cast<std::size_t>(nbr_[base + l]);
-      Packet* const out = in_pkt_.data() +
-                          static_cast<std::size_t>(parity) * (in_pkt_.size() / 2);
-      std::uint8_t* const mask =
-          in_mask_.data() +
-          static_cast<std::size_t>(parity) * (in_mask_.size() / 2);
-      out[r * links + (l ^ 1)] = pkt;
-      mask[r * mask_stride_ + (l ^ 1)] = 1;
+      Post(s, parity, r, l ^ 1, pkt);
       if constexpr (kSparse) {
         s->receivers.push_back(static_cast<ProcId>(r));
       }
@@ -303,10 +282,6 @@ void Engine::BidProc(PacketQueue* queues, ProcId p, std::int64_t step,
       slot_[base + l] = (used & (std::uint32_t{1} << l)) != 0 ? win[l] : -1;
     }
   }
-  Packet* const out =
-      in_pkt_.data() + static_cast<std::size_t>(parity) * (in_pkt_.size() / 2);
-  std::uint8_t* const mask =
-      in_mask_.data() + static_cast<std::size_t>(parity) * (in_mask_.size() / 2);
   while (used != 0) {
     const auto l = static_cast<std::size_t>(std::countr_zero(used));
     used &= used - 1;
@@ -319,8 +294,7 @@ void Engine::BidProc(PacketQueue* queues, ProcId p, std::int64_t step,
     // (Boundary links never win: NextHop never points off the mesh and
     // the faulted policy checks nbr >= 0.)
     const auto r = static_cast<std::size_t>(nbr_[base + l]);
-    out[r * links + (l ^ 1)] = pkt;
-    mask[r * mask_stride_ + (l ^ 1)] = 1;
+    Post(s, parity, r, l ^ 1, pkt);
     if constexpr (kSparse) {
       // The receiver joins the commit set for `step`.
       s->receivers.push_back(static_cast<ProcId>(r));
@@ -361,19 +335,20 @@ bool Engine::CommitProc(PacketQueue* queues, ProcId p, std::int32_t now,
     }
   }
   q.resize(w);
-  // Incomers: one per directed in-link, consumed from p's own mailbox row
-  // in canonical (dim, dir) order. Everything here is p-local. The padded
-  // presence row collapses the common "no incomers" case to one or two
-  // aligned 8-byte loads.
+  // Incomers: one per directed in-link, consumed through p's own mailbox
+  // row in canonical (dim, dir) order. Everything written here is p-local;
+  // the bidders' arenas are only read. The padded presence row collapses
+  // the common "no incomers" case to one or two aligned 8-byte loads.
   const std::size_t rows = static_cast<std::size_t>(topo_->size());
   std::uint8_t* const mrow =
       in_mask_.data() +
       (static_cast<std::size_t>(parity) * rows + static_cast<std::size_t>(p)) *
           mask_stride_;
-  const Packet* const row =
-      in_pkt_.data() +
+  const std::uint32_t* const row =
+      in_hdl_.data() +
       (static_cast<std::size_t>(parity) * rows + static_cast<std::size_t>(p)) *
           links;
+  const std::uint32_t shard_mask = (std::uint32_t{1} << shard_bits_) - 1;
   for (std::size_t wi = 0; wi < mask_stride_; wi += 8) {
     // Each presence byte is 0 or 1, so the row word has at most one set
     // bit per byte: countr_zero(word) >> 3 walks the occupied entries in
@@ -388,7 +363,8 @@ bool Engine::CommitProc(PacketQueue* queues, ProcId p, std::int32_t now,
       const std::size_t l =
           wi + (static_cast<std::size_t>(std::countr_zero(word)) >> 3);
       word &= word - 1;
-      Packet pkt = row[l];
+      const std::uint32_t h = row[l];
+      Packet pkt = scratch_[h & shard_mask].arena[parity][h >> shard_bits_];
       const bool detoured = (pkt.flags & Packet::kDetour) != 0;
       if (have_faults_ && detoured) {
         ++s.detours;
@@ -654,16 +630,13 @@ std::shared_ptr<StallReport> Engine::BuildStallReport(
       stuck.id = pkt.id;
       stuck.at = p;
       stuck.dest = pkt.dest;
-      // Coordinates come from the topology, not the legacy coords_ table —
-      // the tiled layout never builds that table, and a stall report is far
-      // off the hot path.
-      const Point cpt = topo_->Coords(p);
-      const Point dpt = topo_->Coords(pkt.dest);
       // Report the *fault-free preferred* hop: the link the packet wants,
       // which is the interesting one when it is dead.
       int dim, dir;
-      stuck.remaining = NextHop(cpt.data(), dpt.data(), d_, n_, torus,
-                                pkt.klass, dim, dir);
+      stuck.remaining = NextHop(
+          &coords_[static_cast<std::size_t>(p * d_)],
+          &coords_[static_cast<std::size_t>(pkt.dest * d_)], d_, n_, torus,
+          pkt.klass, dim, dir);
       if ((pkt.flags & Packet::kTwoLeg) != 0) {
         stuck.remaining += topo_->Dist(pkt.dest, static_cast<ProcId>(pkt.tag));
       }
@@ -867,9 +840,14 @@ RouteResult Engine::RouteInternal(Network& net,
   const bool want_hist = probe != nullptr && probe->WantsQueueHistogram();
   const std::size_t nshards = std::max<std::size_t>(1, opts_.pool->workers());
   if (scratch_.size() != nshards) scratch_.resize(nshards);
-  for (WorkerScratch& s : scratch_) {
+  for (std::size_t i = 0; i < nshards; ++i) {
+    WorkerScratch& s = scratch_[i];
     s.dir_moves.assign(count_dirs ? links : 0, 0);
     s.receivers.clear();
+    s.shard = static_cast<std::uint32_t>(i);
+    // An aborted Route may have left speculative bids in the arenas.
+    s.arena[0].clear();
+    s.arena[1].clear();
   }
   std::vector<std::int64_t> dir_moves_snapshot(count_dirs ? links : 0);
 
@@ -917,13 +895,16 @@ RouteResult Engine::RouteInternal(Network& net,
     }
   };
 
-  const auto reset_scratch = [&] {
+  // Called before every pass; `bid_parity` is the mailbox buffer the pass
+  // bids into, whose arenas still hold bids an earlier pass consumed.
+  const auto reset_scratch = [&](int bid_parity) {
     for (WorkerScratch& s : scratch_) {
       s.arrivals = 0;
       s.moves = 0;
       s.detours = 0;
       s.qmax = 0;
       s.receivers.clear();
+      s.arena[bid_parity].clear();
     }
     if (count_dirs) {
       for (WorkerScratch& s : scratch_) {
@@ -1009,14 +990,9 @@ RouteResult Engine::RouteInternal(Network& net,
       snap.injected = step_injected;
       Histogram hist(kQueueHistBuckets);
       if (want_hist) {
-        if (use_tiled_) {
-          // Mid-run queues live in the tile arena, not the Network.
-          tiled_->FillQueueHist(&hist, N);
-        } else {
-          for (ProcId p = 0; p < N; ++p) {
-            hist.Add(static_cast<std::int64_t>(
-                queues[static_cast<std::size_t>(p)].size()));
-          }
+        for (ProcId p = 0; p < N; ++p) {
+          hist.Add(static_cast<std::int64_t>(
+              queues[static_cast<std::size_t>(p)].size()));
         }
         snap.queue_hist = &hist;
       }
@@ -1082,136 +1058,7 @@ RouteResult Engine::RouteInternal(Network& net,
     sink->Save(st, cause);
   };
 
-  if (use_tiled_) {
-    // Tiled storage path (net/engine_tiled.h): one unified loop serves both
-    // drain and injector-driven runs over the tile arena. The shared
-    // prologue above already initialized per-packet state in `net`; Import
-    // moves the queues into the arena, and Export writes them back at every
-    // boundary the rest of the engine observes (cadence checkpoints, the
-    // shared epilogue). Per-step semantics — injection before bids,
-    // retirement after commits, sparse-mode accounting — mirror the legacy
-    // branches below; the equality harness pins the traces byte-identical.
-    //
-    // The whole branch lives in a noinline closure: RouteInternal is one
-    // big function, and folding another hundred lines into it measurably
-    // degrades the codegen of the legacy sparse loop below (GCC's inlining
-    // and register budgets are per-function).
-    const auto route_tiled = [&]() __attribute__((noinline)) {
-    MetricsRegistry::Gauge* g_tiles = nullptr;
-    MetricsRegistry::Gauge* g_tiles_peak = nullptr;
-    MetricsRegistry::Counter* c_halo = nullptr;
-    if (opts_.metrics != nullptr) {
-      g_tiles = &opts_.metrics->gauge("engine.tiles_allocated");
-      g_tiles_peak = &opts_.metrics->gauge("engine.tiles_peak");
-      c_halo = &opts_.metrics->counter("engine.halo_bytes");
-    }
-    tiled_->BeginRoute(have_faults ? link_dead_.data() : nullptr, jt);
-    if (injector != nullptr && resume == nullptr) {
-      // Preload normalization (contract in engine.h, mirrored from the
-      // legacy injector branch): preloads count as injected at step 1, and
-      // ones already at their destination retire here with latency 0.
-      for (ProcId p = 0; p < N; ++p) {
-        auto& q = queues[static_cast<std::size_t>(p)];
-        std::size_t w = 0;
-        const std::size_t sz = q.size();
-        for (std::size_t i = 0; i < sz; ++i) {
-          q[i].tag = 1;
-          if (jt != nullptr) {
-            // Preloads count as injected at t0 = 0 (tag 1, latency
-            // arrived - tag + 1 = arrived); zero-hop ones deliver here.
-            jt->RecordInjected(q[i].id, p, 0, q[i].dist0, q[i].arrived >= 0);
-          }
-          if (q[i].arrived >= 0) {
-            q[i].arrived = 0;
-            result.overshoot.Add(0.0);
-            injector->OnDeliver(q[i], 0);
-            continue;
-          }
-          if (w != i) q[w] = q[i];
-          ++w;
-        }
-        q.resize(w);
-      }
-    }
-    tiled_->Import(net);
-    std::vector<std::pair<ProcId, Packet>> batch;
-    std::int64_t last_halo = 0;
-    while ((injector != nullptr ? (injecting || in_flight > arrivals_total)
-                                : in_flight > arrivals_total) &&
-           step < cap) {
-      ++step;
-      const bool fault_event = apply_events(step);
-      const auto now = static_cast<std::int32_t>(step);
-      std::int64_t step_injected = 0;
-      if (injector != nullptr && injecting) {
-        batch.clear();
-        const InjectAction action = injector->Inject(step, &batch);
-        if (action != InjectAction::kContinue) injecting = false;
-        if (action == InjectAction::kStop) injector_stopped = true;
-        for (auto& [src, pkt] : batch) {
-          pkt.flags &= static_cast<std::uint16_t>(
-              ~(Packet::kMoving | Packet::kDetour | Packet::kLockMask |
-                Packet::kTwoLeg));
-          pkt.tag = step;
-          pkt.dist0 = static_cast<std::int32_t>(topo_->Dist(src, pkt.dest));
-          result.max_distance =
-              std::max<std::int64_t>(result.max_distance, pkt.dist0);
-          ++result.packets;
-          ++step_injected;
-          if (jt != nullptr) {
-            // Injected before the bids of `step`: the packet can move this
-            // very step, so t0 = step - 1 makes latency = moves + waits.
-            jt->RecordInjected(pkt.id, src, step - 1, pkt.dist0,
-                               pkt.dest == src);
-          }
-          if (pkt.dest == src) {
-            // Zero-hop traffic never enters the arena: arrived is set one
-            // step back so latency (arrived - tag + 1) reads 0.
-            pkt.arrived = static_cast<std::int32_t>(now - 1);
-            result.overshoot.Add(0.0);
-            injector->OnDeliver(pkt, step);
-            continue;
-          }
-          pkt.arrived = -1;
-          tiled_->Append(src, pkt);
-          ++in_flight;
-        }
-      }
-      const bool use_sparse = mode_for(in_flight - arrivals_total);
-      if (use_sparse) ++result.sparse_steps;
-      reset_scratch();
-      const std::int64_t active =
-          tiled_->Step(step, now, count_dirs, scratch_);
-      tiled_->FinishStep(injector, step, &result.overshoot,
-                         &result.max_overshoot);
-      const auto [step_arrivals, step_moves] = reduce_scratch();
-      if (g_tiles != nullptr) {
-        g_tiles->Set(tiled_->live_tiles());
-        g_tiles_peak->Max(tiled_->peak_tiles());
-        c_halo->Add(tiled_->halo_bytes() - last_halo);
-        last_halo = tiled_->halo_bytes();
-      }
-      if (emit_step(step, step_arrivals, step_moves,
-                    fault_event || step_injected > 0,
-                    use_sparse ? active : -1, step_injected)) {
-        watchdog_fired = true;
-        break;
-      }
-      if (injector_stopped) break;
-      const bool more = injector != nullptr
-                            ? (injecting || in_flight > arrivals_total)
-                            : in_flight > arrivals_total;
-      if (sink != nullptr && more && sink->Due(step)) {
-        // save_checkpoint snapshots `net`'s queues: sync the interchange
-        // first. The arena keeps routing afterwards, undisturbed.
-        tiled_->Export(net);
-        save_checkpoint("cadence");
-      }
-    }
-    tiled_->Export(net);
-    };
-    route_tiled();
-  } else if (injector != nullptr) {
+  if (injector != nullptr) {
     // Open-loop injection: unfused two-phase steps with per-step injection
     // before the bids and delivery retirement after the commits (contract
     // in engine.h). Preloaded packets count as injected at step 1; ones
@@ -1298,7 +1145,7 @@ RouteResult Engine::RouteInternal(Network& net,
         }
       }
       const bool use_sparse = mode_for(in_flight - arrivals_total);
-      reset_scratch();
+      reset_scratch(static_cast<int>(step & 1));
       if (use_sparse) {
         if (!active_valid) {
           RebuildActiveSet(net);
@@ -1364,7 +1211,7 @@ RouteResult Engine::RouteInternal(Network& net,
       ++step;
       const bool fault_event = apply_events(step);
       const bool use_sparse = mode_for(in_flight - arrivals_total);
-      reset_scratch();
+      reset_scratch(static_cast<int>(step & 1));
       const auto now = static_cast<std::int32_t>(step);
       if (use_sparse) {
         if (!active_valid) {
@@ -1438,7 +1285,7 @@ RouteResult Engine::RouteInternal(Network& net,
     // Bootstrap: bid step 1 on its own (every later bid rides a commit).
     bool fault_event_next = apply_events(1);
     bool cur_sparse = mode_for(in_flight);
-    reset_scratch();
+    reset_scratch(1);
     if (cur_sparse) {
       RebuildActiveSet(net);
       const auto na = static_cast<std::int64_t>(active_.size());
@@ -1485,10 +1332,10 @@ RouteResult Engine::RouteInternal(Network& net,
       ++step;
       const bool fault_event = fault_event_next;
       fault_event_next = apply_events(step + 1);
-      reset_scratch();
       const auto now = static_cast<std::int32_t>(step);
       const int cparity = static_cast<int>(step & 1);  // commit buffer
       const int bparity = cparity ^ 1;                 // bid buffer (S+1)
+      reset_scratch(bparity);
       std::int64_t nt = 0;
       if (cur_sparse) {
         ++result.sparse_steps;
@@ -1523,7 +1370,7 @@ RouteResult Engine::RouteInternal(Network& net,
                     (static_cast<std::size_t>(cparity) * rows + pf) *
                         mask_stride_);
                 __builtin_prefetch(
-                    in_pkt_.data() +
+                    in_hdl_.data() +
                     (static_cast<std::size_t>(cparity) * rows + pf) * links);
               }
               for (std::int64_t i = i0; i < i1; ++i) {

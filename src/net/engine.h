@@ -19,14 +19,16 @@
 //    incrementally) plus the one-hop halo that receives traffic, skipping
 //    the ~90% of the mesh that sits idle during drain phases.
 //
-// Delivery goes through a receiver-indexed mailbox: the bid pass copies
-// each winning packet into its receiver's 2d-entry row and sets the
-// matching presence byte (each directed link has a unique writer, so the
-// scatter is race-free), and the commit pass is then fully local — it
-// compacts the processor's own queue in place and appends the incomers
-// from its own contiguous row, touching no neighbor state. That removes
-// both the per-step double buffer (and its per-queue swaps) and the 2d
-// scattered neighbor-slot probes per processor.
+// Delivery goes through a receiver-indexed mailbox: the bid pass appends
+// each winning packet to its worker's packet arena, writes a 4-byte handle
+// to it into its receiver's 2d-entry row, and sets the matching presence
+// byte (each directed link has a unique writer, so the scatter is
+// race-free). The commit pass is then fully local — it compacts the
+// processor's own queue in place and appends the incomers through the
+// handles of its own contiguous row, touching no neighbor state. The
+// arenas hold only the packets bid in a step (O(1) per processor in the
+// multi-packet model), so the mailbox costs 4 bytes per directed link
+// rather than a whole Packet.
 //
 // Because a commit is p-local, the engine pipelines steps: one pass over
 // the commit set performs commit(S) and immediately bids step S+1 from the
@@ -109,21 +111,6 @@ enum class SparseMode : std::uint8_t {
   kAlways,  ///< force the active-set path from the first step
   kNever,   ///< force the dense full-mesh sweep
 };
-
-/// Packet-storage layout for the step loop (see net/tile_arena.h for the
-/// tiled layout). Both layouts produce byte-identical delivery traces —
-/// pinned by the equality harness in tests/test_engine_tiled.cpp; they
-/// differ only in memory footprint and throughput.
-enum class LayoutMode : std::uint8_t {
-  kAuto,    ///< tiled on meshes with >= kTiledAutoThreshold processors
-  kLegacy,  ///< per-processor InlineVec queues in the Network (the seed path)
-  kTiled,   ///< tiled SoA arena with sharded mailboxes and halo exchange
-};
-
-/// LayoutMode::kAuto switches to the tiled layout at this processor count —
-/// the point where the legacy layout's O(N) queue directory stops fitting
-/// in cache and its footprint starts to dominate RSS.
-inline constexpr std::int64_t kTiledAutoThreshold = 65536;
 
 /// Verdict returned by StepInjector::Inject for one step.
 enum class InjectAction : std::uint8_t {
@@ -232,14 +219,6 @@ struct EngineOptions {
   /// Step-loop traversal policy (see SparseMode).
   SparseMode sparse = SparseMode::kAuto;
 
-  /// Packet-storage layout (see LayoutMode). kAuto picks the tiled arena on
-  /// topologies with >= kTiledAutoThreshold processors and the legacy
-  /// per-processor queues below that. The tiled layout requires the
-  /// invariant checker to be off (it validates legacy storage directly);
-  /// when a checker is active the engine falls back to legacy and the
-  /// differential tests still pass — the layouts are trace-identical.
-  LayoutMode layout = LayoutMode::kAuto;
-
   /// With SparseMode::kAuto, run the sparse path once the number of
   /// in-flight packets drops to <= sparse_threshold * N (in-flight packets
   /// upper-bound the occupied processors). Near-full phases keep the dense
@@ -257,10 +236,7 @@ struct EngineOptions {
   /// steps, moves, packets, detours, sparse steps, fault events, stall
   /// reasons, peak queue/active-set gauges). Recording happens once per
   /// Route, never per step, so the hot loop is untouched; null costs one
-  /// pointer check per call. Tiled-layout runs additionally refresh the
-  /// engine.tiles_allocated / engine.tiles_peak gauges and the
-  /// engine.halo_bytes counter once per step (coordinator-side, O(1)), so
-  /// a live /metrics scrape sees the arena's occupancy as it moves.
+  /// pointer check per call.
   MetricsRegistry* metrics = nullptr;
 
   /// Optional black-box flight recorder (obs/flight_recorder.h). When set,
@@ -288,10 +264,10 @@ struct EngineOptions {
   /// Optional packet-journey tracer (obs/journey.h). When set, every Route
   /// records one compact event per step of every sampled packet's life —
   /// injection, each link crossed, each lost bid, each dead-link hold —
-  /// from all three engine paths (fused, unfused, tiled), and the epilogue
-  /// attaches the finalized JourneyLog plus a CriticalPathReport to the
-  /// RouteResult. Traces are byte-identical for any thread count, layout,
-  /// and traversal mode (sampling is a pure function of packet id; events
+  /// from both step loops (fused and unfused), and the epilogue attaches
+  /// the finalized JourneyLog plus a CriticalPathReport to the
+  /// RouteResult. Traces are byte-identical for any thread count and
+  /// traversal mode (sampling is a pure function of packet id; events
   /// sort on their unique (id, step) key). Null keeps the hot paths
   /// byte-identical and untouched. Excluded from HashEngineOptions like
   /// every observability hook — tracing never changes results, so a
@@ -300,50 +276,23 @@ struct EngineOptions {
 };
 
 /// FNV-1a over the routing-relevant options: step cap, sparse policy and
-/// threshold, stall window, invariant mode, layout, fault-plan presence,
-/// injector presence. Identical hashes mean two runs routed under the same
-/// engine configuration (thread count excluded — it never changes results).
-/// The layout is mixed as *configured* (kAuto stays kAuto), so a checkpoint
-/// resumes only under the same configured layout — conservative, since the
-/// layouts are trace-identical, but it keeps resume refusal simple.
+/// threshold, stall window, invariant mode, fault-plan presence, injector
+/// presence. Identical hashes mean two runs routed under the same engine
+/// configuration (thread count excluded — it never changes results).
 std::uint64_t HashEngineOptions(const EngineOptions& opts);
 
 const char* SparseModeName(SparseMode mode);
-const char* LayoutModeName(LayoutMode mode);
 
 /// Fills a RunManifest (obs/manifest.h) from a live engine configuration:
 /// topology shape, worker threads, build type, sparse mode, options hash.
 /// Seed and binary are left for the caller — the engine does not know them.
 RunManifest MakeRunManifest(const Topology& topo, const EngineOptions& opts);
 
-/// Per-worker scratch arena: step counters and reusable buffers, reset by
-/// the coordinator each step and reduced after the dispatch returns.
-/// Cache-line aligned so two workers never share a line. Namespace-scope so
-/// the tiled step machinery (net/engine_tiled.h) accumulates into the same
-/// arenas as the legacy paths — the coordinator's reduction is shared.
-struct alignas(64) EngineWorkerScratch {
-  std::int64_t arrivals = 0;
-  std::int64_t moves = 0;
-  std::int64_t detours = 0;
-  std::int64_t qmax = 0;
-  std::vector<std::int64_t> dir_moves;  // 2d entries; empty without probe
-  std::vector<ProcId> receivers;        // sparse bid output (reused)
-  /// Journey-event buffer (empty without a tracer): workers append here
-  /// during bid/commit; the coordinator drains it into the tracer after
-  /// each step's reduction. NOT cleared by the per-step scratch reset.
-  std::vector<JourneyEvent> events;
-};
-
-class TiledEngine;
-
 class Engine {
  public:
   /// Throws std::invalid_argument if opts.faults targets a different
   /// topology shape.
   explicit Engine(const Topology& topo, EngineOptions opts = {});
-
-  /// Out-of-line so unique_ptr<TiledEngine> destroys a complete type.
-  ~Engine();
 
   const Topology& topo() const { return *topo_; }
 
@@ -372,13 +321,33 @@ class Engine {
   /// snapshot and per-packet initialization is skipped.
   RouteResult RouteInternal(Network& net,
                             const EngineCheckpointState* resume);
-  using WorkerScratch = EngineWorkerScratch;
+
+  /// Per-worker scratch: step counters and reusable buffers, reset by the
+  /// coordinator each step and reduced after the dispatch returns.
+  /// Cache-line aligned so two workers never share a line.
+  struct alignas(64) WorkerScratch {
+    std::int64_t arrivals = 0;
+    std::int64_t moves = 0;
+    std::int64_t detours = 0;
+    std::int64_t qmax = 0;
+    std::vector<std::int64_t> dir_moves;  // 2d entries; empty without probe
+    std::vector<ProcId> receivers;        // sparse bid output (reused)
+    /// This worker's bid winners by mailbox parity; mailbox handles index
+    /// into them. Cleared by the coordinator before the pass that refills
+    /// that parity, so they hold only one step's bids.
+    std::vector<Packet> arena[2];
+    std::uint32_t shard = 0;  // index in scratch_: a handle's low bits
+    /// Journey-event buffer (empty without a tracer): workers append here
+    /// during bid/commit; the coordinator drains it into the tracer after
+    /// each step's reduction. NOT cleared by the per-step scratch reset.
+    std::vector<JourneyEvent> events;
+  };
 
   /// Winner selection for one processor (step `step`, mailbox buffer
   /// `parity` = step & 1): picks the farthest-first winner per outgoing
-  /// link into stack-local arrays, marks winners kMoving, and scatters each
-  /// winning packet (plus its presence byte) into the receiver's mailbox
-  /// row. kSparse additionally records the receivers into `s->receivers`
+  /// link into stack-local arrays, marks winners kMoving, and posts each
+  /// winning packet to the receiver's mailbox row (see Post). kSparse
+  /// additionally records the receivers into `s->receivers`
   /// for active-set maintenance; kRecordSlots additionally publishes the
   /// winner indices to the processor's slot_ row for CheckSlots (checker
   /// path only — the routing never reads a foreign slot row). `queues` is
@@ -387,13 +356,18 @@ class Engine {
   void BidProc(PacketQueue* queues, ProcId p, std::int64_t step, int parity,
                WorkerScratch* s);
 
+  /// Appends `pkt` to worker `s`'s arena for `parity` and writes its handle
+  /// and presence byte into entry `e` of receiver `r`'s mailbox row.
+  void Post(WorkerScratch* s, int parity, std::size_t r, std::size_t e,
+            const Packet& pkt);
+
   template <bool kFaults, bool kRecordSlots>
   void StepPhaseA(PacketQueue* queues, std::int64_t step, int parity,
                   std::int64_t begin, std::int64_t end, WorkerScratch* s);
 
   /// Delivery for one processor, fully local: compacts the stayers of
-  /// queues[p] in place and appends the incomers from p's own mailbox row
-  /// in buffer `parity` (consuming the presence bytes), accumulating
+  /// queues[p] in place and appends the incomers named by p's own mailbox
+  /// row in buffer `parity` (consuming the presence bytes), accumulating
   /// counters into `s`. Returns true if the queue still holds an in-flight
   /// packet (active-set maintenance).
   bool CommitProc(PacketQueue* queues, ProcId p, std::int32_t now,
@@ -428,23 +402,26 @@ class Engine {
   int n_;
   std::vector<std::int32_t> coords_;        // N x d coordinate table
   std::vector<std::int32_t> nbr_;           // N x 2d neighbor table (-1: none)
-  std::vector<std::int32_t> slot_;          // N x 2d winner queue-index
-                                            // (checker diagnostics only)
+  std::vector<std::int32_t> slot_;          // N x 2d winner queue-index;
+                                            // allocated only for a checker
 
   // Receiver mailbox, double-buffered by step parity: bids for step S write
   // buffer S & 1, so the fused pipeline's early bids for S+1 never clobber
-  // an unconsumed step-S entry. in_pkt_ holds 2 x N x 2d packet entries;
-  // presence lives in in_mask_ (2 x N x mask_stride_ bytes, rows padded to
-  // a multiple of 8 so emptiness is a couple of aligned 8-byte loads).
-  std::vector<Packet> in_pkt_;
+  // an unconsumed step-S entry. in_hdl_ holds 2 x N x 2d handles, each
+  // (arena index << shard_bits_) | shard naming a packet in the bidding
+  // worker's arena; presence lives in in_mask_ (2 x N x mask_stride_ bytes,
+  // rows padded to a multiple of 8 so emptiness is a couple of aligned
+  // 8-byte loads).
+  std::vector<std::uint32_t> in_hdl_;
   std::vector<std::uint8_t> in_mask_;
   std::size_t mask_stride_ = 0;
+  int shard_bits_ = 0;
   // Set when a Route call aborts (step cap / watchdog) with the pipeline's
   // speculative next-step bids already scattered; the next Route clears the
   // mask instead of every call paying for it.
   bool mailbox_dirty_ = false;
 
-  std::vector<WorkerScratch> scratch_;      // per-worker arenas
+  std::vector<WorkerScratch> scratch_;      // one per pool worker
 
   // Sparse-path state: active_ lists exactly the processors with in-flight
   // packets (ascending). slots_clean_ tracks whether every slot_ entry
@@ -461,14 +438,6 @@ class Engine {
   // self-describing). Built once in the constructor; assigning it per Route
   // is a refcount bump, not a serialization.
   std::shared_ptr<const RunManifest> manifest_;
-
-  // Tiled layout (net/engine_tiled.h): resolved once in the constructor
-  // from opts_.layout, the topology size, and invariant-checker state.
-  // When use_tiled_ is set, the legacy-only arrays (coords_, slot_,
-  // mailbox, sparse sets) stay empty and RouteInternal takes the tiled
-  // branch.
-  bool use_tiled_ = false;
-  std::unique_ptr<TiledEngine> tiled_;
 
   // Fault state (empty vectors when no plan is attached).
   bool have_faults_ = false;

@@ -1,26 +1,16 @@
-// Shared hop-selection kernels for the extended greedy scheme (paper,
-// Section 2.2) and the fault-detour policy, used by both packet-storage
-// layouts (net/engine.cpp legacy queues, net/engine_tiled.cpp tiled SoA
-// arena).
+// Hop-selection kernels for the extended greedy scheme (paper, Section 2.2)
+// and the fault-detour policy used by the engine (net/engine.cpp): one
+// contention priority, one dimension-rotation order, one detour policy.
 //
-// The kernels are templated over two small access abstractions so one
-// definition serves both layouts byte-identically:
+// The kernels are templated over two small access abstractions:
 //
 //  * Coordinate accessors (`CP`, `DC`): anything indexable as `c[i]` for
-//    dimension i. The legacy engine passes raw `const std::int32_t*` rows of
-//    its N x d coordinate table; the tiled engine passes StridedCoords over
-//    its per-tile column arrays (stride = lanes * slots), which inlines to
-//    the same single load.
+//    dimension i — the engine passes raw `const std::int32_t*` rows of its
+//    N x d coordinate table.
 //
 //  * Link-liveness functor (`AliveFn`, faulted path only): `alive(dim, dir)`
 //    must return whether the directed link exists *and* is currently up.
-//    The legacy engine closes over its neighbor table plus the per-step
-//    dead mask; the tiled engine derives existence from the processor's own
-//    coordinates and reads the same dead mask.
-//
-// Moving the selection here (instead of duplicating it per layout) is what
-// keeps the two layouts' delivery traces provably identical: there is one
-// contention priority, one dimension-rotation order, and one detour policy.
+//    The engine closes over its neighbor table plus the per-step dead mask.
 #pragma once
 
 #include <cstdint>
@@ -30,16 +20,6 @@
 #include "util/math.h"
 
 namespace mdmesh {
-
-/// Coordinate accessor over a strided column layout: element i lives at
-/// p[i * stride]. With stride 1 this is pointer indexing.
-struct StridedCoords {
-  const std::int32_t* p;
-  std::size_t stride;
-  std::int32_t operator[](int i) const {
-    return p[static_cast<std::size_t>(i) * stride];
-  }
-};
 
 /// A packet whose accumulated slack (steps elapsed beyond its ideal
 /// shortest-path schedule) exceeds this starts rotating the fallback detour

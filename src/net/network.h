@@ -15,17 +15,11 @@
 // Clear maintain it incrementally. Mutating packets in place (ForEach)
 // cannot change occupancy and leaves the cache valid.
 //
-// Storage-layout contract (EngineOptions::layout): Network is the ONLY
-// packet container algorithms and tests see. The engine may internally
-// route either on per-processor AoS queues mirrored from this class
-// (LayoutMode::kLegacy) or on the tiled SoA arena (LayoutMode::kTiled,
-// net/tile_arena.h), which materializes 64-processor cache-line tiles on
-// demand and keeps its footprint proportional to occupancy rather than
-// topology size. Both layouts import from and export back to Network at
-// the Route boundary and must produce byte-identical delivery traces —
-// same per-queue packet order, same step counts, same overshoot
-// statistics (pinned by tests/test_engine_tiled.cpp). Nothing outside
-// src/net/ may depend on which layout ran.
+// Storage contract: Network is the ONLY packet container algorithms and
+// tests see, and the engine routes on these queues in place. A packet in
+// transit lives for one step in the engine's per-worker mailbox arena
+// (net/engine.h); at every step boundary, and so whenever a Route or a
+// checkpoint returns, every packet is back in exactly one queue here.
 #pragma once
 
 #include <algorithm>

@@ -95,7 +95,7 @@ std::shared_ptr<const JourneyLog> JourneyTracer::Finalize(
   // (id, step) is unique — a packet is injected once and thereafter moves
   // xor waits exactly once per step — so this sort is a total order and
   // the result is byte-identical regardless of worker count, drain order,
-  // or engine layout.
+  // or step loop.
   std::sort(out->events.begin(), out->events.end(),
             [](const JourneyEvent& a, const JourneyEvent& b) {
               return a.id != b.id ? a.id < b.id : a.step < b.step;

@@ -1,6 +1,6 @@
 // Packet-journey tracing: an opt-in, deterministically sampled per-packet
-// hop log recorded by the routing engine from all three of its paths
-// (legacy fused, unfused checker, tiled/sharded arena).
+// hop log recorded by the routing engine from both of its step loops
+// (fused pipeline, unfused two-phase step).
 //
 // Suel's step bounds are statements about the worst-case *packet*, but the
 // aggregate observability layers (spans, congestion counters, flight
@@ -28,9 +28,9 @@
 //
 // Determinism: sampling is a pure function of (packet id, seed), events
 // carry unique (id, step) keys, and Finalize sorts by that key — so the
-// trace is byte-identical for any thread count, any engine layout, and
+// trace is byte-identical for any thread count, both step loops, and
 // both traversal modes. Recording is allocation-free in steady state: hot
-// paths push into per-worker buffers (EngineWorkerScratch::events) that
+// paths push into the engine's per-worker event buffers, which
 // the coordinator drains between steps, so buffers stay small and warm.
 #pragma once
 
@@ -106,7 +106,7 @@ class JourneyTracer {
   explicit JourneyTracer(Options opts);
 
   /// Pure function of (id, seed, watch): identical across threads, runs,
-  /// and engine layouts.
+  /// and step loops.
   bool Sampled(std::int64_t id) const {
     if (all_) return true;
     if (Mix(static_cast<std::uint64_t>(id) ^ seed_) < threshold_) return true;

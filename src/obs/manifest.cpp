@@ -23,7 +23,6 @@ void RunManifest::WriteJson(JsonWriter& w) const {
   w.Key("threads").UInt(threads);
   w.Key("build_type").String(build_type.empty() ? BuildTypeName() : build_type);
   w.Key("sparse_mode").String(sparse_mode);
-  if (!layout.empty()) w.Key("layout").String(layout);
   w.Key("engine_options_hash").String(engine_options_hash);
   if (!binary.empty()) w.Key("binary").String(binary);
   w.EndObject();

@@ -30,7 +30,6 @@ struct RunManifest {
   unsigned threads = 0;       ///< worker threads (0 = serial coordinator)
   std::string build_type;     ///< "debug" or "release" (from NDEBUG)
   std::string sparse_mode;    ///< "auto", "always", or "never"
-  std::string layout;         ///< packet storage: "auto", "legacy", "tiled"
   /// FNV-1a hex digest over the routing-relevant engine options (step cap,
   /// sparse policy, fault plan presence, ...). Empty when unknown.
   std::string engine_options_hash;

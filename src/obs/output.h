@@ -31,8 +31,8 @@
 //                           perf_event_open; silently degrades elsewhere)
 //   --quick                 smallest configuration only (CI smoke runs)
 //   --mega                  additionally run the mega-mesh fixtures (e.g.
-//                           bench_engine's n=4096 2D tiled-layout record;
-//                           several GB of RSS, minutes of wall time)
+//                           bench_engine's n=4096 2D record; several GB
+//                           of RSS, minutes of wall time)
 //
 // Examples register them on their Cli via AddOutputFlags/GetOutputFlags.
 // Bench binaries cannot use Cli (google-benchmark parses argv itself), so

@@ -112,19 +112,6 @@ bool ParseSparseMode(const std::string& name, SparseMode* out) {
   return true;
 }
 
-bool ParseLayoutMode(const std::string& name, LayoutMode* out) {
-  if (name == "auto") {
-    *out = LayoutMode::kAuto;
-  } else if (name == "legacy") {
-    *out = LayoutMode::kLegacy;
-  } else if (name == "tiled") {
-    *out = LayoutMode::kTiled;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 bool RunSpec::Validate(std::string* error) const {
   if (d < 1 || d > kMaxDim) {
     *error = "topology.d must be in [1, " + std::to_string(kMaxDim) + "]";
@@ -180,7 +167,6 @@ EngineOptions RunSpec::MakeEngineOptions() const {
   eopts.step_cap = step_cap;
   eopts.stall_window = stall_window;
   eopts.sparse = sparse;
-  eopts.layout = layout;
   eopts.sparse_threshold = sparse_threshold;
   return eopts;
 }
@@ -229,7 +215,6 @@ void RunSpec::WriteJson(JsonWriter& w) const {
   w.EndObject();
   w.Key("engine").BeginObject();
   w.Key("sparse").String(SparseModeName(sparse));
-  w.Key("layout").String(LayoutModeName(layout));
   w.Key("sparse_threshold").Double(sparse_threshold);
   w.Key("step_cap").Int(step_cap);
   w.Key("stall_window").Int(stall_window);
@@ -351,8 +336,7 @@ bool RunSpec::FromJson(const JsonValue& v, RunSpec* out, std::string* error) {
       return false;
     }
     if (!CheckKeys(eng, "engine",
-                   {"sparse", "layout", "sparse_threshold", "step_cap",
-                    "stall_window"},
+                   {"sparse", "sparse_threshold", "step_cap", "stall_window"},
                    error)) {
       return false;
     }
@@ -360,13 +344,6 @@ bool RunSpec::FromJson(const JsonValue& v, RunSpec* out, std::string* error) {
       if (!eng["sparse"].is_string() ||
           !ParseSparseMode(eng["sparse"].AsString(), &spec.sparse)) {
         *error = "engine.sparse: expected \"auto\", \"always\", or \"never\"";
-        return false;
-      }
-    }
-    if (eng.Has("layout")) {
-      if (!eng["layout"].is_string() ||
-          !ParseLayoutMode(eng["layout"].AsString(), &spec.layout)) {
-        *error = "engine.layout: expected \"auto\", \"legacy\", or \"tiled\"";
         return false;
       }
     }

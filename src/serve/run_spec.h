@@ -4,8 +4,8 @@
 // A spec names everything that determines an open-loop run's results:
 // topology shape, traffic pattern (+ its seed and hot-spot shape), the
 // driver's injection windows, and the routing-relevant EngineOptions knobs.
-// Deliberately excluded: thread counts, storage layout aside, observability
-// sinks, checkpoint cadence — none of those change a delivery trace (the
+// Deliberately excluded: thread counts, observability sinks, checkpoint
+// cadence — none of those change a delivery trace (the
 // engine's byte-identity contracts), so two requests differing only there
 // are the *same experiment* and dedupe to one execution.
 //
@@ -51,7 +51,6 @@ struct RunSpec {
   std::int64_t step_cap = 0;
   std::int64_t stall_window = 0;
   SparseMode sparse = SparseMode::kAuto;
-  LayoutMode layout = LayoutMode::kAuto;
   double sparse_threshold = 0.5;
 
   /// Largest topology a request may name (n^d processors); requests above
@@ -77,7 +76,7 @@ struct RunSpec {
   ///   {"name"?, "priority"?, "topology": {"d","n","torus"?},
   ///    "pattern": {"kind", "seed"?, "hot_count"?, "hot_skew"?},
   ///    "driver": {"rate","warmup","measure","drain"?,"seed"?},
-  ///    "engine"?: {"sparse"?,"layout"?,"sparse_threshold"?,"step_cap"?,
+  ///    "engine"?: {"sparse"?,"sparse_threshold"?,"step_cap"?,
   ///                "stall_window"?}}
   /// Unknown keys inside these objects are rejected (a typoed knob must not
   /// silently fall back to a default and then dedupe against the wrong
@@ -89,9 +88,8 @@ struct RunSpec {
                            std::string* error);
 };
 
-/// Parse helpers shared with the CLI surfaces ("auto"/"always"/"never",
-/// "auto"/"legacy"/"tiled"). Return false on an unknown name.
+/// Parse helper shared with the CLI surfaces ("auto"/"always"/"never").
+/// Returns false on an unknown name.
 bool ParseSparseMode(const std::string& name, SparseMode* out);
-bool ParseLayoutMode(const std::string& name, LayoutMode* out);
 
 }  // namespace mdmesh

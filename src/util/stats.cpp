@@ -74,18 +74,6 @@ void Histogram::Add(std::int64_t value) {
   ++total_;
 }
 
-void Histogram::AddN(std::int64_t value, std::int64_t count) {
-  assert(value >= 0 && count >= 0);
-  if (count == 0) return;
-  auto idx = static_cast<std::size_t>(value);
-  if (idx >= buckets_.size()) {
-    overflow_ += count;
-    idx = buckets_.size() - 1;
-  }
-  buckets_[idx] += count;
-  total_ += count;
-}
-
 std::int64_t Histogram::Quantile(double q) const {
   assert(q >= 0.0 && q <= 1.0);
   if (total_ == 0) return 0;

@@ -44,9 +44,6 @@ class Histogram {
   explicit Histogram(std::size_t size) : buckets_(size, 0) {}
 
   void Add(std::int64_t value);
-  /// Adds `count` identical samples of `value` in O(1). Used for the bulk
-  /// zero-occupancy tail when snapshotting sparse storage (tiled arena).
-  void AddN(std::int64_t value, std::int64_t count);
   std::int64_t Count(std::size_t bucket) const { return buckets_.at(bucket); }
   std::int64_t total() const { return total_; }
   std::int64_t overflow() const { return overflow_; }

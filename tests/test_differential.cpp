@@ -72,6 +72,10 @@ TEST_P(DifferentialTest, EnginesAgreeOnRandomLoads) {
   ExpectIdenticalRuns(topo, net);
 }
 
+// The last two inputs: six packets per processor, so queues spill out of
+// PacketQueue's inline storage through every step of a Route; and a
+// 68921-processor mesh, where the mailbox arenas carry tens of thousands
+// of packets per step.
 INSTANTIATE_TEST_SUITE_P(Workloads, DifferentialTest,
                          ::testing::Values(std::tuple{1, 12, Wrap::kMesh, 1},
                                            std::tuple{2, 6, Wrap::kMesh, 1},
@@ -80,7 +84,9 @@ INSTANTIATE_TEST_SUITE_P(Workloads, DifferentialTest,
                                            std::tuple{2, 8, Wrap::kTorus, 4},
                                            std::tuple{3, 4, Wrap::kMesh, 2},
                                            std::tuple{3, 4, Wrap::kTorus, 3},
-                                           std::tuple{4, 3, Wrap::kMesh, 1}));
+                                           std::tuple{4, 3, Wrap::kMesh, 1},
+                                           std::tuple{2, 8, Wrap::kMesh, 6},
+                                           std::tuple{3, 41, Wrap::kMesh, 1}));
 
 TEST(DifferentialTest, AgreeOnStructuredPermutations) {
   for (Wrap wrap : {Wrap::kMesh, Wrap::kTorus}) {

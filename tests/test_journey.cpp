@@ -3,9 +3,9 @@
 //
 //   * the critical-path identity, exactly: for every complete delivered
 //     journey, delivery_step - injection_step = moves + waits;
-//   * byte-identical JourneyLogs for any thread count, both layouts
-//     (legacy queues vs tiled arena), both traversal modes (sparse vs
-//     dense), fused vs unfused step loops, and under fault plans;
+//   * byte-identical JourneyLogs for any thread count, both traversal
+//     modes (sparse vs dense), fused vs unfused step loops, and under
+//     fault plans;
 //   * deterministic sampling: a pure function of (id, seed, watch);
 //   * tracing disabled or enabled never perturbs the run itself.
 #include <gtest/gtest.h>
@@ -55,9 +55,8 @@ JourneyTracer::Options TraceAll() {
   return jopts;
 }
 
-EngineOptions Opts(LayoutMode layout, SparseMode mode = SparseMode::kAuto) {
+EngineOptions Opts(SparseMode mode = SparseMode::kAuto) {
   EngineOptions opts;
-  opts.layout = layout;
   opts.sparse = mode;
   opts.invariants = InvariantMode::kOff;
   return opts;
@@ -145,7 +144,7 @@ TEST(JourneyTrace, IdentityHoldsForEveryPacketOfAPermutationRun) {
   Network net(topo);
   FillPermutation(net, RandomPermutation(topo, rng), 2);
   JourneyTracer tracer(TraceAll());
-  const TracedRun run = RunTraced(topo, net, Opts(LayoutMode::kLegacy),
+  const TracedRun run = RunTraced(topo, net, Opts(),
                                   &tracer);
   ASSERT_TRUE(run.result.completed);
   ASSERT_NE(run.log, nullptr);
@@ -176,7 +175,7 @@ TEST(JourneyTrace, ZeroHopPacketIsASingleDeliveredInjection) {
   net.Add(5, MakePacket(0, 5));   // already home
   net.Add(0, MakePacket(1, 15));  // travels corner to corner
   JourneyTracer tracer(TraceAll());
-  const TracedRun run = RunTraced(topo, net, Opts(LayoutMode::kLegacy),
+  const TracedRun run = RunTraced(topo, net, Opts(),
                                   &tracer);
   ASSERT_NE(run.log, nullptr);
   const auto journeys = DecomposeJourneys(*run.log, topo.dim());
@@ -201,7 +200,7 @@ TEST(JourneyTrace, ByteIdenticalAcrossThreadCountsLayoutsAndModes) {
   FillPermutation(net, RandomPermutation(topo, rng), 2);
   JourneyTracer baseline_tracer(TraceAll());
   const TracedRun baseline = RunTraced(
-      topo, net, Opts(LayoutMode::kLegacy, SparseMode::kNever),
+      topo, net, Opts(SparseMode::kNever),
       &baseline_tracer);
   ASSERT_NE(baseline.log, nullptr);
   ASSERT_GT(baseline.log->events.size(), 0u);
@@ -209,28 +208,21 @@ TEST(JourneyTrace, ByteIdenticalAcrossThreadCountsLayoutsAndModes) {
   ThreadPool pool(4);
   struct Variant {
     const char* name;
-    LayoutMode layout;
     SparseMode sparse;
     bool pooled;
     InvariantMode invariants;
   };
   const Variant variants[] = {
-      {"legacy sparse", LayoutMode::kLegacy, SparseMode::kAlways, false,
-       InvariantMode::kOff},
-      {"legacy pooled", LayoutMode::kLegacy, SparseMode::kNever, true,
-       InvariantMode::kOff},
-      {"legacy unfused (checker on)", LayoutMode::kLegacy, SparseMode::kNever,
-       false, InvariantMode::kOn},
-      {"tiled serial", LayoutMode::kTiled, SparseMode::kNever, false,
-       InvariantMode::kOff},
-      {"tiled pooled", LayoutMode::kTiled, SparseMode::kNever, true,
-       InvariantMode::kOff},
-      {"tiled sparse pooled", LayoutMode::kTiled, SparseMode::kAlways, true,
-       InvariantMode::kOff},
+      {"sparse", SparseMode::kAlways, false, InvariantMode::kOff},
+      {"pooled", SparseMode::kNever, true, InvariantMode::kOff},
+      {"sparse pooled", SparseMode::kAlways, true, InvariantMode::kOff},
+      {"unfused (checker on)", SparseMode::kNever, false, InvariantMode::kOn},
+      {"sparse unfused pooled (checker on)", SparseMode::kAlways, true,
+       InvariantMode::kOn},
   };
   for (const Variant& v : variants) {
     SCOPED_TRACE(v.name);
-    EngineOptions opts = Opts(v.layout, v.sparse);
+    EngineOptions opts = Opts(v.sparse);
     opts.invariants = v.invariants;
     opts.pool = v.pooled ? &pool : nullptr;
     JourneyTracer tracer(TraceAll());
@@ -251,30 +243,30 @@ TEST(JourneyTrace, ByteIdenticalUnderFaults) {
   FillPermutation(net, RandomPermutation(topo, rng), 2);
   ThreadPool pool(4);
 
-  EngineOptions legacy_opts = Opts(LayoutMode::kLegacy);
-  legacy_opts.faults = &plan;
-  JourneyTracer legacy_tracer(TraceAll());
-  const TracedRun legacy = RunTraced(topo, net, legacy_opts, &legacy_tracer);
-  ASSERT_TRUE(legacy.result.completed);
-  ASSERT_GT(legacy.result.detours, 0);
-  ASSERT_NE(legacy.log, nullptr);
+  EngineOptions serial_opts = Opts();
+  serial_opts.faults = &plan;
+  JourneyTracer serial_tracer(TraceAll());
+  const TracedRun serial = RunTraced(topo, net, serial_opts, &serial_tracer);
+  ASSERT_TRUE(serial.result.completed);
+  ASSERT_GT(serial.result.detours, 0);
+  ASSERT_NE(serial.log, nullptr);
 
   // Faulted journeys still satisfy the identity: a dead-link hold is a
   // wait, a detour hop is a move.
   bool saw_detour_move = false;
-  for (const PacketJourney& j : DecomposeJourneys(*legacy.log, topo.dim())) {
+  for (const PacketJourney& j : DecomposeJourneys(*serial.log, topo.dim())) {
     EXPECT_TRUE(j.IdentityHolds()) << "packet " << j.id;
     saw_detour_move = saw_detour_move || j.detour_moves > 0;
   }
   EXPECT_TRUE(saw_detour_move);
 
-  EngineOptions tiled_opts = Opts(LayoutMode::kTiled);
-  tiled_opts.faults = &plan;
-  tiled_opts.pool = &pool;
-  JourneyTracer tiled_tracer(TraceAll());
-  const TracedRun tiled = RunTraced(topo, net, tiled_opts, &tiled_tracer);
-  ASSERT_NE(tiled.log, nullptr);
-  ExpectSameLog(*legacy.log, *tiled.log);
+  EngineOptions pooled_opts = Opts(SparseMode::kAlways);
+  pooled_opts.faults = &plan;
+  pooled_opts.pool = &pool;
+  JourneyTracer pooled_tracer(TraceAll());
+  const TracedRun pooled = RunTraced(topo, net, pooled_opts, &pooled_tracer);
+  ASSERT_NE(pooled.log, nullptr);
+  ExpectSameLog(*serial.log, *pooled.log);
 }
 
 TEST(JourneyTrace, SampledLogIsASubsetAndStillDeterministic) {
@@ -287,8 +279,11 @@ TEST(JourneyTrace, SampledLogIsASubsetAndStillDeterministic) {
   jopts.seed = 99;
   JourneyTracer a(jopts);
   JourneyTracer b(jopts);
-  const TracedRun ra = RunTraced(topo, net, Opts(LayoutMode::kLegacy), &a);
-  const TracedRun rb = RunTraced(topo, net, Opts(LayoutMode::kTiled), &b);
+  ThreadPool pool(4);
+  EngineOptions pooled = Opts(SparseMode::kAlways);
+  pooled.pool = &pool;
+  const TracedRun ra = RunTraced(topo, net, Opts(), &a);
+  const TracedRun rb = RunTraced(topo, net, pooled, &b);
   ASSERT_NE(ra.log, nullptr);
   EXPECT_GT(ra.log->traced_packets, 0);
   EXPECT_LT(ra.log->traced_packets, ra.result.packets);
@@ -302,13 +297,13 @@ TEST(JourneyTrace, TracingDoesNotPerturbTheRun) {
   FillPermutation(net, RandomPermutation(topo, rng), 2);
 
   Network bare_net = net;
-  Engine bare_engine(topo, Opts(LayoutMode::kLegacy));
+  Engine bare_engine(topo, Opts());
   const RouteResult bare = bare_engine.Route(bare_net);
   EXPECT_EQ(bare.journeys, nullptr);
   EXPECT_EQ(bare.critical_path, nullptr);
 
   JourneyTracer tracer(TraceAll());
-  const TracedRun traced = RunTraced(topo, net, Opts(LayoutMode::kLegacy),
+  const TracedRun traced = RunTraced(topo, net, Opts(),
                                      &tracer);
   EXPECT_EQ(bare.steps, traced.result.steps);
   EXPECT_EQ(bare.moves, traced.result.moves);
@@ -324,7 +319,7 @@ TEST(JourneyTrace, TruncationCapsTheLogAndFlagsIt) {
   JourneyTracer::Options jopts = TraceAll();
   jopts.max_events = 16;
   JourneyTracer tracer(jopts);
-  const TracedRun run = RunTraced(topo, net, Opts(LayoutMode::kLegacy),
+  const TracedRun run = RunTraced(topo, net, Opts(),
                                   &tracer);
   ASSERT_NE(run.log, nullptr);
   EXPECT_TRUE(run.log->truncated);
@@ -342,7 +337,7 @@ TEST(JourneyTrace, InjectorRunJourneysHoldTheIdentityAndMatchAcrossThreads) {
   dopts.seed = 17;
 
   JourneyTracer serial_tracer(TraceAll());
-  EngineOptions serial_opts = Opts(LayoutMode::kLegacy);
+  EngineOptions serial_opts = Opts();
   serial_opts.journeys = &serial_tracer;
   const WorkloadResult serial = RunOpenLoop(topo, pattern, dopts, serial_opts);
   ASSERT_NE(serial.route.journeys, nullptr);
@@ -361,7 +356,7 @@ TEST(JourneyTrace, InjectorRunJourneysHoldTheIdentityAndMatchAcrossThreads) {
   for (unsigned workers : {2u, 4u}) {
     ThreadPool pool(workers);
     JourneyTracer tracer(TraceAll());
-    EngineOptions opts = Opts(LayoutMode::kTiled);
+    EngineOptions opts = Opts();
     opts.pool = &pool;
     opts.journeys = &tracer;
     const WorkloadResult pooled = RunOpenLoop(topo, pattern, dopts, opts);
@@ -376,7 +371,7 @@ TEST(CriticalPath, ReportDecomposesTheRunAndAnchorsTheBoundGap) {
   Network net(topo);
   FillPermutation(net, TransposePermutation(topo), 2);
   JourneyTracer tracer(TraceAll());
-  const TracedRun run = RunTraced(topo, net, Opts(LayoutMode::kLegacy),
+  const TracedRun run = RunTraced(topo, net, Opts(),
                                   &tracer);
   ASSERT_TRUE(run.result.completed);
   ASSERT_NE(run.result.critical_path, nullptr);
@@ -414,7 +409,7 @@ TEST(JourneyExport, JsonlLinesParseAndCarryTheDecomposition) {
   Network net(topo);
   FillPermutation(net, ReversalPermutation(topo), 2);
   JourneyTracer tracer(TraceAll());
-  const TracedRun run = RunTraced(topo, net, Opts(LayoutMode::kLegacy),
+  const TracedRun run = RunTraced(topo, net, Opts(),
                                   &tracer);
   ASSERT_NE(run.log, nullptr);
   std::ostringstream os;
@@ -443,7 +438,7 @@ TEST(JourneyExport, ChromeTraceGainsOneAsyncSpanPerTracedPacket) {
   Network net(topo);
   FillPermutation(net, TransposePermutation(topo), 2);
   JourneyTracer tracer(TraceAll());
-  const TracedRun run = RunTraced(topo, net, Opts(LayoutMode::kLegacy),
+  const TracedRun run = RunTraced(topo, net, Opts(),
                                   &tracer);
   ASSERT_NE(run.log, nullptr);
   RunManifest manifest;

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ckpt/manager.h"
@@ -138,7 +139,6 @@ TEST(RunSpec, JsonRoundTripPreservesFingerprint) {
   s.step_cap = 123;
   s.stall_window = -1;
   s.sparse = SparseMode::kNever;
-  s.layout = LayoutMode::kTiled;
   s.sparse_threshold = 0.25;
 
   RunSpec back;
@@ -161,7 +161,6 @@ TEST(RunSpec, JsonRoundTripPreservesFingerprint) {
   EXPECT_EQ(back.step_cap, s.step_cap);
   EXPECT_EQ(back.stall_window, s.stall_window);
   EXPECT_EQ(back.sparse, s.sparse);
-  EXPECT_EQ(back.layout, s.layout);
   EXPECT_DOUBLE_EQ(back.sparse_threshold, s.sparse_threshold);
   EXPECT_EQ(back.Fingerprint(), s.Fingerprint());
 }
@@ -214,10 +213,6 @@ TEST(RunSpec, RejectsBadShapesWithNamedField) {
        "\"uniform\"}, \"driver\": {\"rate\": 0.1, \"warmup\": 1, "
        "\"measure\": 0}}",
        "measure"},
-      {"{\"topology\": {\"d\": 2, \"n\": 8}, \"pattern\": {\"kind\": "
-       "\"uniform\"}, \"driver\": {\"rate\": 0.1, \"warmup\": 1, "
-       "\"measure\": 1}, \"engine\": {\"layout\": \"fancy\"}}",
-       "engine.layout"},
   };
   for (const Case& c : cases) {
     RunSpec s;
@@ -232,14 +227,23 @@ TEST(RunSpec, RejectsBadShapesWithNamedField) {
 TEST(RunSpec, RejectsUnknownKeysInsteadOfIgnoringThem) {
   // A typoed knob must fail the request — if it silently fell back to the
   // default it would dedupe against the wrong run.
-  RunSpec s;
-  std::string error;
-  EXPECT_FALSE(RunSpec::FromJsonText(
-      "{\"topology\": {\"d\": 2, \"n\": 8}, \"pattern\": {\"kind\": "
-      "\"uniform\"}, \"driver\": {\"rate\": 0.1, \"warmup\": 1, "
-      "\"measure\": 1}, \"engine\": {\"sparse_treshold\": 0.5}}",
-      &s, &error));
-  EXPECT_NE(error.find("sparse_treshold"), std::string::npos) << error;
+  // "layout" named the packet-storage layout the engine no longer has: a
+  // spec still carrying it is refused, not run under other options.
+  const std::pair<const char*, const char*> cases[] = {
+      {"{\"sparse_treshold\": 0.5}", "sparse_treshold"},
+      {"{\"layout\": \"auto\"}", "layout"},
+  };
+  for (const auto& [engine, key] : cases) {
+    RunSpec s;
+    std::string error;
+    EXPECT_FALSE(RunSpec::FromJsonText(
+        std::string("{\"topology\": {\"d\": 2, \"n\": 8}, \"pattern\": "
+                    "{\"kind\": \"uniform\"}, \"driver\": {\"rate\": 0.1, "
+                    "\"warmup\": 1, \"measure\": 1}, \"engine\": ") +
+            engine + "}",
+        &s, &error));
+    EXPECT_NE(error.find(key), std::string::npos) << error;
+  }
 }
 
 TEST(RunSpec, FingerprintSeesEveryResultAffectingField) {
@@ -301,14 +305,10 @@ TEST(RunSpec, FingerprintSeesEveryResultAffectingField) {
     expect_moves("sparse", s);
   }
   {
-    RunSpec s = base; s.layout = LayoutMode::kLegacy;
-    expect_moves("layout", s);
-  }
-  {
     RunSpec s = base; s.sparse_threshold = 0.75;
     expect_moves("sparse_threshold", s);
   }
-  EXPECT_EQ(changed, 17);
+  EXPECT_EQ(changed, 16);
 }
 
 TEST(RunSpec, FingerprintIgnoresSchedulingOnlyFields) {
@@ -341,10 +341,6 @@ TEST(HashEngineOptions, MovesForEveryResultAffectingField) {
   }
   {
     EngineOptions o; o.sparse = SparseMode::kAlways;
-    EXPECT_NE(HashEngineOptions(o), h0);
-  }
-  {
-    EngineOptions o; o.layout = LayoutMode::kTiled;
     EXPECT_NE(HashEngineOptions(o), h0);
   }
   {
@@ -405,13 +401,11 @@ TEST(RunSpec, MakeEngineOptionsCarriesExactlyTheSpecKnobs) {
   s.step_cap = 5;
   s.stall_window = 6;
   s.sparse = SparseMode::kNever;
-  s.layout = LayoutMode::kLegacy;
   s.sparse_threshold = 0.3;
   const EngineOptions o = s.MakeEngineOptions();
   EXPECT_EQ(o.step_cap, 5);
   EXPECT_EQ(o.stall_window, 6);
   EXPECT_EQ(o.sparse, SparseMode::kNever);
-  EXPECT_EQ(o.layout, LayoutMode::kLegacy);
   EXPECT_DOUBLE_EQ(o.sparse_threshold, 0.3);
   EXPECT_EQ(o.pool, nullptr);
   EXPECT_EQ(o.injector, nullptr);
