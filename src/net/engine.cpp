@@ -91,7 +91,8 @@ Engine::Engine(const Topology& topo, EngineOptions opts)
   // A handle packs (arena index << shard_bits_) | shard into 32 bits, and
   // one step's bids number at most one per directed link. The bound also
   // keeps every processor id inside the 32-bit neighbor table.
-  if ((std::uint64_t{procs} * links << shard_bits_) > (std::uint64_t{1} << 32)) {
+  if ((std::uint64_t{procs} * links << shard_bits_) >
+      (std::uint64_t{1} << 32)) {
     throw std::invalid_argument(
         "Engine: topology too large for 32-bit mailbox handles");
   }
@@ -133,12 +134,12 @@ Engine::Engine(const Topology& topo, EngineOptions opts)
 }
 
 inline void Engine::Post(WorkerScratch* s, int parity, std::size_t r,
-                        std::size_t e, const Packet& pkt) {
+                         std::size_t e, const Packet& pkt) {
+  const auto par = static_cast<std::size_t>(parity);
+  const auto links = static_cast<std::size_t>(2 * d_);
   std::vector<Packet>& arena = s->arena[parity];
-  const std::size_t par = static_cast<std::size_t>(parity);
-  in_hdl_[(par * (in_hdl_.size() / 2)) + r * static_cast<std::size_t>(2 * d_) +
-          e] = static_cast<std::uint32_t>(arena.size() << shard_bits_) |
-               s->shard;
+  in_hdl_[par * (in_hdl_.size() / 2) + r * links + e] =
+      static_cast<std::uint32_t>(arena.size() << shard_bits_) | s->shard;
   arena.push_back(pkt);
   in_mask_[par * (in_mask_.size() / 2) + r * mask_stride_ + e] = 1;
 }

@@ -22,6 +22,10 @@
 namespace mdmesh {
 namespace {
 
+// Request heads larger than this are dropped unanswered: a GET needs a few
+// hundred bytes, and the buffer must not grow with whatever a client sends.
+constexpr std::size_t kMaxRequestHeadBytes = 8192;
+
 std::int64_t SteadyMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())

@@ -54,8 +54,6 @@ class MetricsPublisher {
   /// Deadline for one request head to arrive. A silent or stalled client
   /// holds the publisher thread (and Stop()) for at most this long.
   static constexpr int kRequestTimeoutMs = 1000;
-  /// Larger request heads are dropped unanswered.
-  static constexpr std::size_t kMaxRequestHeadBytes = 8192;
 
   MetricsPublisher() = default;
   ~MetricsPublisher() { Stop(); }
