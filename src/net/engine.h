@@ -291,7 +291,8 @@ RunManifest MakeRunManifest(const Topology& topo, const EngineOptions& opts);
 class Engine {
  public:
   /// Throws std::invalid_argument if opts.faults targets a different
-  /// topology shape.
+  /// topology shape, or if N x 2d directed links shifted by the pool's
+  /// worker bits exceed the 32-bit mailbox handles.
   explicit Engine(const Topology& topo, EngineOptions opts = {});
 
   const Topology& topo() const { return *topo_; }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <tuple>
 
 #include "sorting/verify.h"
@@ -169,6 +170,18 @@ TEST(EngineTest, StepCapReportsIncomplete) {
   RouteResult r = engine.Route(net);
   EXPECT_FALSE(r.completed);
   EXPECT_EQ(r.steps, 2);
+}
+
+TEST(EngineTest, RejectsTopologyBeyondMailboxHandles) {
+  // A mailbox handle is (arena index << worker bits) | worker in 32 bits.
+  // 2^32 processors x 4 links cannot fit even serially; 2^26 x 4 fits
+  // serially but not beside 5 worker bits. Both refuse before allocating.
+  EXPECT_THROW(Engine(Topology(2, 65536, Wrap::kMesh)), std::invalid_argument);
+  ThreadPool pool(32);
+  EngineOptions opts;
+  opts.pool = &pool;
+  EXPECT_THROW(Engine(Topology(2, 8192, Wrap::kMesh), opts),
+               std::invalid_argument);
 }
 
 TEST(EngineTest, DeterministicAcrossRuns) {
