@@ -4,14 +4,17 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <tuple>
 #include <vector>
 
 namespace mdmesh {
 namespace {
 
+// The scheme name is a std::string, not a const char*, so gtest
+// prints it as text; a pointer would put its load address in the test name.
 class CompatibleSchemesTest
-    : public ::testing::TestWithParam<std::tuple<const char*, int, int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int, int, int>> {};
 
 TEST_P(CompatibleSchemesTest, PaperSchemesAreCompatible) {
   auto [name, d, n, b] = GetParam();

@@ -2,16 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "sorting/kk_sort.h"
 
 namespace mdmesh {
 namespace {
 
+// gtest names each case by dumping this struct's bytes. `unused` fills what
+// would otherwise be padding after the 1-byte `input`, so the names hold no
+// uninitialised bytes and are the same on every build.
 struct Case {
   int d;
   int n;
   int g;
   InputKind input;
+  std::uint8_t unused[3] = {};
   int max_fixups;
 };
 
@@ -33,18 +39,18 @@ TEST_P(CopySortTest, SortsCorrectly) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, CopySortTest,
-    ::testing::Values(Case{2, 8, 2, InputKind::kRandom, 8},
-                      Case{2, 16, 2, InputKind::kRandom, 8},
-                      Case{2, 16, 4, InputKind::kRandom, 8},
-                      Case{2, 16, 2, InputKind::kSortedDesc, 8},
-                      Case{2, 16, 2, InputKind::kAllEqual, 8},
-                      Case{3, 8, 2, InputKind::kRandom, 8},
-                      Case{3, 16, 2, InputKind::kRandom, 8},
-                      Case{4, 8, 2, InputKind::kRandom, 8},
+    ::testing::Values(Case{2, 8, 2, InputKind::kRandom, {}, 8},
+                      Case{2, 16, 2, InputKind::kRandom, {}, 8},
+                      Case{2, 16, 4, InputKind::kRandom, {}, 8},
+                      Case{2, 16, 2, InputKind::kSortedDesc, {}, 8},
+                      Case{2, 16, 2, InputKind::kAllEqual, {}, 8},
+                      Case{3, 8, 2, InputKind::kRandom, {}, 8},
+                      Case{3, 16, 2, InputKind::kRandom, {}, 8},
+                      Case{4, 8, 2, InputKind::kRandom, {}, 8},
                       // the d >= 8 regime of Theorem 3.2, tiny n: the
                       // rank-estimate error spans several blocks, so allow
                       // the fix-up loop to run longer (see DESIGN.md §5)
-                      Case{6, 4, 2, InputKind::kRandom, 256}));
+                      Case{6, 4, 2, InputKind::kRandom, {}, 256}));
 
 TEST(CopySortTest, ExactlyOneSurvivorPerPacket) {
   // Multiset preservation after dedup is implied by sorted=true, but check

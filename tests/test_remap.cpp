@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <tuple>
 
 #include "sorting/verify.h"
@@ -10,8 +11,10 @@
 namespace mdmesh {
 namespace {
 
+// The scheme name is a std::string, not a const char*, so gtest
+// prints it as text; a pointer would put its load address in the test name.
 class RemapTest
-    : public ::testing::TestWithParam<std::tuple<const char*, int, int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int, int, int>> {};
 
 TEST_P(RemapTest, SortIntoSchemeEndsSortedUnderIt) {
   auto [name, d, n, k] = GetParam();

@@ -2,16 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "sorting/kk_sort.h"
 
 namespace mdmesh {
 namespace {
 
+// gtest names each case by dumping this struct's bytes. `unused` fills what
+// would otherwise be padding after the 1-byte `input`, so the names hold no
+// uninitialised bytes and are the same on every build.
 struct Case {
   int d;
   int n;
   int g;
   InputKind input;
+  std::uint8_t unused[3] = {};
 };
 
 class TorusSortTest : public ::testing::TestWithParam<Case> {};

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "net/engine.h"
@@ -11,14 +12,15 @@
 namespace mdmesh {
 namespace {
 
+// The permutation name is a std::string, not a const char*, so gtest
+// prints it as text; a pointer would put its load address in the test name.
 class TwoPhaseDeliveryTest
-    : public ::testing::TestWithParam<std::tuple<int, int, Wrap, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<int, int, Wrap, std::string>> {};
 
 TEST_P(TwoPhaseDeliveryTest, DeliversEveryPermutation) {
-  auto [d, n, wrap, perm] = GetParam();
+  auto [d, n, wrap, name] = GetParam();
   Topology topo(d, n, wrap);
   std::vector<ProcId> dest;
-  std::string name = perm;
   if (name == "random") {
     Rng rng(7);
     dest = RandomPermutation(topo, rng);
