@@ -1,8 +1,10 @@
 #include "net/reference_engine.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 namespace mdmesh {
@@ -37,8 +39,9 @@ std::pair<int, int> DesiredHop(const Topology& topo, ProcId at,
 
 }  // namespace
 
-ReferenceEngine::ReferenceEngine(const Topology& topo, std::int64_t step_cap)
-    : topo_(&topo), step_cap_(step_cap) {}
+ReferenceEngine::ReferenceEngine(const Topology& topo, std::int64_t step_cap,
+                                 StepInjector* injector)
+    : topo_(&topo), step_cap_(step_cap), injector_(injector) {}
 
 RouteResult ReferenceEngine::Route(Network& net) {
   RouteResult result;
@@ -65,16 +68,65 @@ RouteResult ReferenceEngine::Route(Network& net) {
                      ? 2ll * d * N
                      : 2ll * d * N * (topo_->side() - 1) / topo_->side();
 
+  StepInjector* const injector = injector_;
+  if (injector != nullptr) {
+    // Preloads count as injected at step 1; those already home are handed
+    // back with latency 0 and retired before the first step.
+    for (ProcId p = 0; p < N; ++p) {
+      auto& q = net.At(p);
+      for (Packet& pkt : q) {
+        pkt.tag = 1;
+        if (pkt.arrived < 0) continue;
+        result.overshoot.Add(0.0);
+        injector->OnDeliver(pkt, 0);
+      }
+      q.erase(std::remove_if(q.begin(), q.end(),
+                             [](const Packet& pkt) { return pkt.arrived >= 0; }),
+              q.end());
+    }
+  }
+
   std::int64_t cap = step_cap_;
   if (cap <= 0) {
     const std::int64_t load = std::max<std::int64_t>(1, CeilDiv(result.packets, N));
-    cap = 4 * load * (topo_->Diameter() + topo_->side()) + 4096;
+    cap = injector != nullptr
+              ? std::numeric_limits<std::int64_t>::max()
+              : 4 * load * (topo_->Diameter() + topo_->side()) + 4096;
   }
 
   std::int64_t arrivals = 0;
   std::int64_t step = 0;
-  while (arrivals < in_flight && step < cap) {
+  bool injecting = injector != nullptr;
+  bool stopped = false;
+  std::vector<std::pair<ProcId, Packet>> batch;
+  while ((injecting || arrivals < in_flight) && step < cap) {
     ++step;
+    // 0. Injection, before anything bids: the engine stamps tag and dist0,
+    //    and a packet injected at its destination never enters a queue.
+    if (injecting) {
+      batch.clear();
+      const InjectAction action = injector->Inject(step, &batch);
+      injecting = action == InjectAction::kContinue;
+      stopped = action == InjectAction::kStop;
+      for (auto& [src, pkt] : batch) {
+        pkt.flags &= static_cast<std::uint16_t>(
+            ~(Packet::kMoving | Packet::kDetour | Packet::kLockMask |
+              Packet::kTwoLeg));
+        pkt.tag = step;
+        pkt.dist0 = static_cast<std::int32_t>(topo_->Dist(src, pkt.dest));
+        result.max_distance = std::max<std::int64_t>(result.max_distance, pkt.dist0);
+        ++result.packets;
+        if (pkt.dest == src) {
+          pkt.arrived = static_cast<std::int32_t>(step - 1);
+          result.overshoot.Add(0.0);
+          injector->OnDeliver(pkt, step);
+          continue;
+        }
+        pkt.arrived = -1;
+        net.At(src).push_back(pkt);
+        ++in_flight;
+      }
+    }
     // 1. Every packet states its desired directed link.
     struct Want {
       ProcId from;
@@ -95,23 +147,36 @@ RouteResult ReferenceEngine::Route(Network& net) {
     }
     // 2. Arbitrate each link: farthest remaining distance, ties to the
     //    smaller id. 3. Apply all moves simultaneously.
-    std::vector<std::tuple<ProcId, std::size_t, ProcId>> moves;  // from, idx, to
+    //    Each move also names the receiver's in-link it arrives on: the
+    //    dimension, then 0 from the lower neighbour (travelling +), 1 from
+    //    the upper one.
+    struct Move {
+      ProcId from;
+      std::size_t index;
+      ProcId to;
+      int entry;
+    };
+    std::vector<Move> moves;
     for (auto& [link, wants] : contenders) {
       const auto winner = std::max_element(
           wants.begin(), wants.end(), [](const Want& a, const Want& b) {
             return a.rem != b.rem ? a.rem < b.rem : a.id > b.id;
           });
-      const ProcId to = topo_->Neighbor(link.first, link.second / 2, link.second % 2);
-      moves.emplace_back(winner->from, winner->index, to);
+      const int dim = link.second / 2;
+      const int dir = link.second % 2;
+      const ProcId to = topo_->Neighbor(link.first, dim, dir);
+      moves.push_back(Move{winner->from, winner->index, to, dim * 2 + (1 - dir)});
     }
+    // Incomers join a queue in in-link order.
+    std::sort(moves.begin(), moves.end(), [](const Move& a, const Move& b) {
+      return a.to != b.to ? a.to < b.to : a.entry < b.entry;
+    });
     // Collect moved packets (marking slots), then erase and deliver.
     std::vector<std::pair<ProcId, Packet>> in_transit;
-    for (const auto& [from, index, to] : moves) {
-      Packet pkt = net.At(from)[index];
-      pkt.flags |= Packet::kMoving;  // mark the original for removal
-      net.At(from)[index].flags |= Packet::kMoving;
-      pkt.flags &= static_cast<std::uint16_t>(~Packet::kMoving);
-      in_transit.emplace_back(to, pkt);
+    for (const Move& m : moves) {
+      Packet pkt = net.At(m.from)[m.index];
+      net.At(m.from)[m.index].flags |= Packet::kMoving;  // mark for removal
+      in_transit.emplace_back(m.to, pkt);
     }
     for (ProcId p = 0; p < N; ++p) {
       auto& q = net.At(p);
@@ -139,6 +204,25 @@ RouteResult ReferenceEngine::Route(Network& net) {
       net.At(to).push_back(pkt);
     }
     result.max_queue = std::max(result.max_queue, net.MaxQueue());
+    // 4. Open loop: hand every delivered packet back (ascending processor,
+    //    queue order) and retire it.
+    if (injector != nullptr) {
+      for (ProcId p = 0; p < N; ++p) {
+        auto& q = net.At(p);
+        for (const Packet& pkt : q) {
+          if (pkt.arrived < 0) continue;
+          const std::int64_t over =
+              (static_cast<std::int64_t>(pkt.arrived) - pkt.tag + 1) - pkt.dist0;
+          result.overshoot.Add(static_cast<double>(over));
+          result.max_overshoot = std::max(result.max_overshoot, over);
+          injector->OnDeliver(pkt, step);
+        }
+        q.erase(std::remove_if(q.begin(), q.end(),
+                               [](const Packet& pkt) { return pkt.arrived >= 0; }),
+                q.end());
+      }
+      if (stopped) break;
+    }
   }
 
   result.steps = step;

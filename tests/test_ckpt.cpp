@@ -27,12 +27,16 @@
 #include "fault/fault_plan.h"
 #include "net/engine.h"
 #include "net/network.h"
+#include "obs/flight_recorder.h"
+#include "obs/journey.h"
+#include "obs/probe.h"
 #include "routing/permutations.h"
 #include "util/crc32.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "workload/driver.h"
 #include "workload/patterns.h"
+#include "run_digest.h"
 
 namespace mdmesh {
 namespace {
@@ -261,24 +265,100 @@ TEST(CkptResumeTest, StepCapAbortEmitsResumableCheckpoint) {
 // ---------------------------------------------------------------------------
 // Resume determinism: open-loop injector runs.
 
-void ExpectInjectorResumeMatches(const MeshSpec& spec, unsigned workers,
-                                 bool drain) {
-  SCOPED_TRACE(std::string(spec.ToString()) +
-               " workers=" + std::to_string(workers) +
-               " drain=" + std::to_string(drain));
-  const Topology topo = spec.Build();
-  ThreadPool pool(workers);
-  TrafficPattern pattern(topo, PatternKind::kUniform, 5);
+/// An injector run pinned as constants, measured on the engine whose
+/// open-loop runs stepped through a separate unfused bid, commit and retire
+/// loop: delivery hash, totals, and digests of the per-step CongestionTrace
+/// (default traversal mode) and of a 1000-per-mille journey log.
+struct PinnedInjectorRun {
+  std::uint64_t delivery_hash;
+  std::int64_t steps;
+  std::int64_t moves;
+  std::int64_t detours;
+  std::uint64_t trace_hash;
+  std::uint64_t journey_hash;
+};
+
+DriverOptions InjectorDriver(bool drain) {
   DriverOptions dopts;
   dopts.rate = 0.15;
   dopts.warmup_steps = 40;
   dopts.measure_steps = 120;
   dopts.drain = drain;
   dopts.seed = 11;
+  return dopts;
+}
+
+/// Runs with a probe and a full journey tracer attached and checks the
+/// result against `pin`.
+WorkloadResult RunPinned(const Topology& topo, const TrafficPattern& pattern,
+                         const DriverOptions& dopts, EngineOptions eopts,
+                         const PinnedInjectorRun& pin) {
+  CongestionTrace probe;
+  JourneyTracer::Options jopts;
+  jopts.sample_rate = 1.0;
+  JourneyTracer journeys(jopts);
+  eopts.probe = &probe;
+  eopts.journeys = &journeys;
+  const WorkloadResult r = RunOpenLoop(topo, pattern, dopts, eopts);
+  EXPECT_NE(r.route.journeys, nullptr);
+  const std::uint64_t trace_hash = TraceDigest(probe);
+  const std::uint64_t journey_hash =
+      r.route.journeys != nullptr ? JourneyDigest(*r.route.journeys) : 0;
+  char got[160];
+  std::snprintf(got, sizeof(got),
+                "got {0x%016llxull, %lld, %lld, %lld, 0x%016llxull, "
+                "0x%016llxull}",
+                static_cast<unsigned long long>(r.delivery_hash),
+                static_cast<long long>(r.route.steps),
+                static_cast<long long>(r.route.moves),
+                static_cast<long long>(r.route.detours),
+                static_cast<unsigned long long>(trace_hash),
+                static_cast<unsigned long long>(journey_hash));
+  SCOPED_TRACE(got);
+  EXPECT_EQ(r.delivery_hash, pin.delivery_hash);
+  EXPECT_EQ(r.route.steps, pin.steps);
+  EXPECT_EQ(r.route.moves, pin.moves);
+  EXPECT_EQ(r.route.detours, pin.detours);
+  EXPECT_EQ(trace_hash, pin.trace_hash);
+  EXPECT_EQ(journey_hash, pin.journey_hash);
+  return r;
+}
+
+void ExpectSameWorkload(const WorkloadResult& a, const WorkloadResult& b) {
+  EXPECT_EQ(a.delivery_hash, b.delivery_hash);
+  EXPECT_EQ(a.offered, b.offered);
+  EXPECT_EQ(a.delivered, b.delivered);
+  EXPECT_EQ(a.measured_injected, b.measured_injected);
+  EXPECT_EQ(a.measured_delivered, b.measured_delivered);
+  EXPECT_EQ(a.latency_count, b.latency_count);
+  EXPECT_EQ(a.latency_p50, b.latency_p50);
+  EXPECT_EQ(a.latency_p99, b.latency_p99);
+  EXPECT_EQ(a.route.steps, b.route.steps);
+  EXPECT_EQ(a.route.moves, b.route.moves);
+  EXPECT_EQ(a.route.detours, b.route.detours);
+  EXPECT_EQ(a.stable, b.stable);
+}
+
+/// `plan` and `pin` are optional: a pinned run also checks the baseline
+/// and the checkpointing run against the constants.
+void ExpectInjectorResumeMatches(const MeshSpec& spec, unsigned workers,
+                                 bool drain, const FaultPlan* plan = nullptr,
+                                 const PinnedInjectorRun* pin = nullptr) {
+  SCOPED_TRACE(std::string(spec.ToString()) +
+               " workers=" + std::to_string(workers) +
+               " drain=" + std::to_string(drain) +
+               (plan != nullptr ? " +faults" : ""));
+  const Topology topo = spec.Build();
+  ThreadPool pool(workers);
+  TrafficPattern pattern(topo, PatternKind::kUniform, 5);
+  const DriverOptions dopts = InjectorDriver(drain);
   EngineOptions eopts;
   eopts.pool = &pool;
+  eopts.faults = plan;
 
-  const WorkloadResult baseline = RunOpenLoop(topo, pattern, dopts, eopts);
+  const WorkloadResult baseline =
+      pin != nullptr ? RunPinned(topo, pattern, dopts, eopts, *pin)
+                     : RunOpenLoop(topo, pattern, dopts, eopts);
   ASSERT_GT(baseline.delivered, 0);
 
   // Mid-warmup and mid-measure snapshots — both windows carry genuine
@@ -288,7 +368,8 @@ void ExpectInjectorResumeMatches(const MeshSpec& spec, unsigned workers,
   EngineOptions sink_opts = eopts;
   sink_opts.checkpoint = &sink;
   const WorkloadResult with_sink =
-      RunOpenLoop(topo, pattern, dopts, sink_opts);
+      pin != nullptr ? RunPinned(topo, pattern, dopts, sink_opts, *pin)
+                     : RunOpenLoop(topo, pattern, dopts, sink_opts);
   EXPECT_EQ(with_sink.delivery_hash, baseline.delivery_hash);
   ASSERT_EQ(sink.states().size(), 2u);
 
@@ -296,17 +377,7 @@ void ExpectInjectorResumeMatches(const MeshSpec& spec, unsigned workers,
     SCOPED_TRACE("resume from step " + std::to_string(state.step));
     const WorkloadResult resumed =
         RunOpenLoop(topo, pattern, dopts, eopts, &state);
-    EXPECT_EQ(resumed.delivery_hash, baseline.delivery_hash);
-    EXPECT_EQ(resumed.offered, baseline.offered);
-    EXPECT_EQ(resumed.delivered, baseline.delivered);
-    EXPECT_EQ(resumed.measured_injected, baseline.measured_injected);
-    EXPECT_EQ(resumed.measured_delivered, baseline.measured_delivered);
-    EXPECT_EQ(resumed.latency_count, baseline.latency_count);
-    EXPECT_EQ(resumed.latency_p50, baseline.latency_p50);
-    EXPECT_EQ(resumed.latency_p99, baseline.latency_p99);
-    EXPECT_EQ(resumed.route.steps, baseline.route.steps);
-    EXPECT_EQ(resumed.route.moves, baseline.route.moves);
-    EXPECT_EQ(resumed.stable, baseline.stable);
+    ExpectSameWorkload(resumed, baseline);
   }
 }
 
@@ -324,6 +395,101 @@ TEST(CkptInjectorResumeTest, Torus3DSerialFixedHorizon) {
 
 TEST(CkptInjectorResumeTest, Torus3DThreadedDrain) {
   ExpectInjectorResumeMatches({3, 4, Wrap::kTorus}, 4, /*drain=*/true);
+}
+
+/// DetourPlan plus flaps around both checkpoint steps (10 and 100),
+/// including edges at steps 11 and 101, right after each snapshot.
+FaultPlan InjectorDetourPlan(const Topology& topo) {
+  FaultPlan plan = DetourPlan(topo);
+  plan.AddFlap(topo.size() / 4, 0, 1, /*start=*/8, /*duration=*/5);
+  plan.AddFlap(topo.size() - 3, 1, 0, /*start=*/11, /*duration=*/2);
+  plan.AddFlap(topo.size() / 5, 0, 0, /*start=*/96, /*duration=*/9);
+  plan.AddFlap(topo.size() / 6, 1, 1, /*start=*/101, /*duration=*/3);
+  return plan;
+}
+
+const MeshSpec kFaultedTorus{2, 8, Wrap::kTorus};
+const PinnedInjectorRun kFaultedTorusPin = {
+    0x8fa7f86809bd9e16ull, 173, 9636, 2942, 0xf15ee031e7aab2c1ull,
+    0x8928462809d7b0bbull};
+
+TEST(CkptInjectorResumeTest, Torus2DFaultedThreadedDrain) {
+  const Topology topo = kFaultedTorus.Build();
+  const FaultPlan plan = InjectorDetourPlan(topo);
+  ASSERT_TRUE(plan.Connected());
+  ExpectInjectorResumeMatches(kFaultedTorus, 4, /*drain=*/true, &plan,
+                              &kFaultedTorusPin);
+}
+
+/// Forwards to an OpenLoopInjector and raises the SIGINT/SIGTERM flag from
+/// inside Inject at one step, as a signal landing mid-run would.
+class InterruptingInjector final : public StepInjector {
+ public:
+  InterruptingInjector(OpenLoopInjector* inner, std::int64_t at)
+      : inner_(inner), at_(at) {}
+
+  InjectAction Inject(std::int64_t step,
+                      std::vector<std::pair<ProcId, Packet>>* out) override {
+    if (step == at_) FlightRecorder::RequestInterrupt();
+    return inner_->Inject(step, out);
+  }
+  void OnDeliver(const Packet& pkt, std::int64_t step) override {
+    inner_->OnDeliver(pkt, step);
+  }
+  void SaveState(std::vector<std::uint8_t>* out) const override {
+    inner_->SaveState(out);
+  }
+  bool RestoreState(const std::uint8_t* data, std::size_t size) override {
+    return inner_->RestoreState(data, size);
+  }
+
+ private:
+  OpenLoopInjector* inner_;
+  std::int64_t at_;
+};
+
+TEST(CkptInjectorResumeTest, InterruptMidMeasureResumesAtAnyWorkerCount) {
+  const Topology topo = kFaultedTorus.Build();
+  const FaultPlan plan = InjectorDetourPlan(topo);
+  TrafficPattern pattern(topo, PatternKind::kUniform, 5);
+  const DriverOptions dopts = InjectorDriver(/*drain=*/true);
+  EngineOptions eopts;
+  eopts.faults = &plan;
+  ThreadPool serial(0);
+  eopts.pool = &serial;
+  const WorkloadResult baseline =
+      RunPinned(topo, pattern, dopts, eopts, kFaultedTorusPin);
+
+  // Interrupted at step 90 (mid-measure), after a cadence save at 30.
+  constexpr std::int64_t kAt = 90;
+  OpenLoopInjector inner(topo, pattern, dopts);
+  InterruptingInjector injector(&inner, kAt);
+  CaptureSink sink({30});
+  EngineOptions iopts = eopts;
+  iopts.injector = &injector;
+  iopts.checkpoint = &sink;
+  Network net(topo);
+  Engine engine(topo, iopts);
+  const RouteResult r = engine.Route(net);
+  EXPECT_FALSE(r.completed);
+  ASSERT_NE(r.stall_report, nullptr);
+  EXPECT_EQ(r.stall_report->reason, StallReason::kInterrupt);
+  EXPECT_EQ(r.steps, kAt);
+  EXPECT_FALSE(FlightRecorder::InterruptRequested());
+  ASSERT_EQ(sink.causes(), (std::vector<std::string>{"cadence", "interrupt"}));
+  const EngineCheckpointState& state = sink.states()[1];
+  EXPECT_EQ(state.step, kAt);
+  EXPECT_GT(state.fault_cursor, 0u);
+
+  for (unsigned workers : {0u, 4u}) {
+    SCOPED_TRACE("resume with workers=" + std::to_string(workers));
+    ThreadPool pool(workers);
+    EngineOptions ropts = eopts;
+    ropts.pool = &pool;
+    const WorkloadResult resumed =
+        RunOpenLoop(topo, pattern, dopts, ropts, &state);
+    ExpectSameWorkload(resumed, baseline);
+  }
 }
 
 // ---------------------------------------------------------------------------

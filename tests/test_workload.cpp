@@ -6,10 +6,12 @@
 // bound (no packet beats its source-destination distance).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
 #include <utility>
 #include <vector>
 
+#include "fault/fault_plan.h"
 #include "net/engine.h"
 #include "net/network.h"
 #include "obs/critical_path.h"
@@ -23,6 +25,7 @@
 #include "util/thread_pool.h"
 #include "workload/driver.h"
 #include "workload/patterns.h"
+#include "run_digest.h"
 
 namespace mdmesh {
 namespace {
@@ -164,6 +167,7 @@ struct RunTrace {
            result.delivered == other.result.delivered &&
            result.route.steps == other.result.route.steps &&
            result.route.moves == other.result.route.moves &&
+           result.route.detours == other.result.route.detours &&
            result.latency_count == other.result.latency_count &&
            result.latency_p99 == other.result.latency_p99;
   }
@@ -189,9 +193,12 @@ class RecordingInjector final : public StepInjector {
   RunTrace* trace_;
 };
 
+/// `probe` and `journeys` are optional observers; `faults` an optional plan.
 RunTrace RunTraced(const Topology& topo, const TrafficPattern& pattern,
                    const DriverOptions& dopts, SparseMode mode,
-                   ThreadPool* pool) {
+                   ThreadPool* pool, const FaultPlan* faults = nullptr,
+                   StepProbe* probe = nullptr,
+                   JourneyTracer* journeys = nullptr) {
   RunTrace trace;
   OpenLoopInjector inner(topo, pattern, dopts);
   RecordingInjector rec(&inner, &trace);
@@ -199,6 +206,9 @@ RunTrace RunTraced(const Topology& topo, const TrafficPattern& pattern,
   eopts.sparse = mode;
   eopts.pool = pool;
   eopts.injector = &rec;
+  eopts.faults = faults;
+  eopts.probe = probe;
+  eopts.journeys = journeys;
   Engine engine(topo, eopts);
   Network net(topo);
   trace.result.route = engine.Route(net);
@@ -206,7 +216,93 @@ RunTrace RunTraced(const Topology& topo, const TrafficPattern& pattern,
   trace.result.delivered = inner.delivered();
   trace.result.latency_count = inner.latency().count();
   trace.result.latency_p99 = inner.latency().Quantile(0.99);
+  trace.result.delivery_hash = inner.delivery_hash();
   return trace;
+}
+
+/// A run pinned as constants, measured on the engine whose open-loop runs
+/// stepped through a separate unfused bid, commit and retire loop: the
+/// delivery hash, totals, a 1000-per-mille journey log digest, and one
+/// CongestionTrace digest per traversal mode (kNever, kAlways, kAuto —
+/// the active-set column differs between them).
+struct PinnedOpenLoopRun {
+  std::uint64_t delivery_hash;
+  std::int64_t steps;
+  std::int64_t moves;
+  std::int64_t detours;
+  std::uint64_t journey_hash;
+  std::uint64_t trace_hash[3];
+};
+
+/// Every (traversal mode, worker count) pair must reproduce the serial
+/// dense run, and the traced runs must reproduce the pinned digests.
+void ExpectDeterministicOpenLoop(const Topology& topo,
+                                 const TrafficPattern& pat,
+                                 const DriverOptions& dopts,
+                                 const FaultPlan* faults,
+                                 const PinnedOpenLoopRun& pin) {
+  ThreadPool serial(1);
+  ThreadPool four(4);
+  const RunTrace base =
+      RunTraced(topo, pat, dopts, SparseMode::kNever, &serial, faults);
+  ASSERT_GT(base.result.offered, 0);
+  EXPECT_EQ(base.result.offered, base.result.delivered);
+
+  const SparseMode modes[] = {SparseMode::kNever, SparseMode::kAlways,
+                              SparseMode::kAuto};
+  for (SparseMode mode : modes) {
+    for (ThreadPool* pool : {&serial, &four}) {
+      const RunTrace other = RunTraced(topo, pat, dopts, mode, pool, faults);
+      EXPECT_TRUE(base == other)
+          << "mode=" << static_cast<int>(mode)
+          << " workers=" << pool->workers();
+    }
+  }
+  for (int m = 0; m < 3; ++m) {
+    SCOPED_TRACE(std::string("traced, sparse=") + SparseModeName(modes[m]));
+    CongestionTrace probe;
+    JourneyTracer::Options jopts;
+    jopts.sample_rate = 1.0;
+    JourneyTracer journeys(jopts);
+    const RunTrace traced =
+        RunTraced(topo, pat, dopts, modes[m], &four, faults, &probe, &journeys);
+    ASSERT_NE(traced.result.route.journeys, nullptr);
+    const std::uint64_t journey_hash =
+        JourneyDigest(*traced.result.route.journeys);
+    const std::uint64_t trace_hash = TraceDigest(probe);
+    char got[160];
+    std::snprintf(got, sizeof(got),
+                  "got {0x%016llxull, %lld, %lld, %lld, 0x%016llxull, "
+                  "trace 0x%016llxull}",
+                  static_cast<unsigned long long>(traced.result.delivery_hash),
+                  static_cast<long long>(traced.result.route.steps),
+                  static_cast<long long>(traced.result.route.moves),
+                  static_cast<long long>(traced.result.route.detours),
+                  static_cast<unsigned long long>(journey_hash),
+                  static_cast<unsigned long long>(trace_hash));
+    SCOPED_TRACE(got);
+    EXPECT_EQ(traced.result.delivery_hash, pin.delivery_hash);
+    EXPECT_EQ(traced.result.route.steps, pin.steps);
+    EXPECT_EQ(traced.result.route.moves, pin.moves);
+    EXPECT_EQ(traced.result.route.detours, pin.detours);
+    EXPECT_EQ(journey_hash, pin.journey_hash);
+    EXPECT_EQ(trace_hash, pin.trace_hash[m]);
+    EXPECT_TRUE(traced == base);
+  }
+}
+
+/// Faulted torus: dead link pairs force detours and wrong-way locks, and
+/// flaps spread across the run exercise the per-step fault schedule.
+FaultPlan OpenLoopDetourPlan(const Topology& topo) {
+  FaultPlan plan(topo);
+  plan.KillLinkPair(0, 0, 1);
+  plan.KillLinkPair(topo.size() / 2, 1, 0);
+  plan.KillLinkPair(topo.size() / 3, 0, 0);
+  plan.AddFlap(1, 0, 0, /*start=*/2, /*duration=*/6);
+  plan.AddFlap(topo.size() / 3, 1, 1, /*start=*/25, /*duration=*/9);
+  plan.AddFlap(topo.size() - 2, 1, 0, /*start=*/40, /*duration=*/3);
+  plan.AddFlap(topo.size() / 4, 0, 1, /*start=*/61, /*duration=*/12);
+  return plan;
 }
 
 TEST(OpenLoop, DeterministicAcrossThreadsAndModes) {
@@ -218,23 +314,20 @@ TEST(OpenLoop, DeterministicAcrossThreadsAndModes) {
   dopts.measure_steps = 60;
   dopts.drain = true;
   dopts.seed = 99;
+  ExpectDeterministicOpenLoop(
+      topo, pat, dopts, nullptr,
+      {0x7d119bd5183579edull, 90, 7968, 0, 0x7f5ea51442cbacd1ull,
+       {0x4f8924a1db059374ull, 0x7052491ab452c648ull, 0x39f697b4407fbfcbull}});
 
-  ThreadPool serial(1);
-  ThreadPool four(4);
-  const RunTrace base =
-      RunTraced(topo, pat, dopts, SparseMode::kNever, &serial);
-  ASSERT_GT(base.result.offered, 0);
-  EXPECT_EQ(base.result.offered, base.result.delivered);
-
-  for (SparseMode mode :
-       {SparseMode::kNever, SparseMode::kAlways, SparseMode::kAuto}) {
-    for (ThreadPool* pool : {&serial, &four}) {
-      const RunTrace other = RunTraced(topo, pat, dopts, mode, pool);
-      EXPECT_TRUE(base == other)
-          << "mode=" << static_cast<int>(mode)
-          << " workers=" << pool->workers();
-    }
-  }
+  Topology torus(2, 8, Wrap::kTorus);
+  TrafficPattern torus_pat(torus, PatternKind::kUniform, 4);
+  const FaultPlan plan = OpenLoopDetourPlan(torus);
+  ASSERT_TRUE(plan.Connected());
+  dopts.rate = 0.12;
+  ExpectDeterministicOpenLoop(
+      torus, torus_pat, dopts, &plan,
+      {0xc251af13164ce042ull, 94, 3828, 1191, 0x067abb40accf3e72ull,
+       {0xc4b8e8ccd9e9bb6aull, 0x17a37f5b819932d4ull, 0x3cb5a8c9ff4c1528ull}});
 }
 
 // The zero-cost observability contract: attaching every timeline sink at
