@@ -144,6 +144,43 @@ inline void Engine::Post(WorkerScratch* s, int parity, std::size_t r,
   in_mask_[par * (in_mask_.size() / 2) + r * mask_stride_ + e] = 1;
 }
 
+template <bool kFaults>
+inline std::int64_t Engine::Hop(const std::int32_t* cp,
+                                [[maybe_unused]] std::size_t base, Packet& pkt,
+                                [[maybe_unused]] std::int64_t step, int& dim,
+                                int& dir) const {
+  const std::int32_t* dc =
+      &coords_[static_cast<std::size_t>(pkt.dest) * static_cast<std::size_t>(d_)];
+  const bool torus = topo_->torus();
+  // Farthest-first priority counts the full remaining path of a two-leg
+  // packet, not just the current leg.
+  std::int64_t extra = 0;
+  if ((pkt.flags & Packet::kTwoLeg) != 0) {
+    extra = topo_->Dist(pkt.dest, static_cast<ProcId>(pkt.tag));
+  }
+  if constexpr (kFaults) {
+    bool is_detour = false;
+    // Boundary links (mesh) are filtered by the neighbor-table check; the
+    // dead mask only covers existing links.
+    const std::int32_t* nbr = &nbr_[base];
+    const std::uint8_t* dead = &link_dead_[base];
+    const auto alive = [nbr, dead](int di, int dr) {
+      return dead[di * 2 + dr] == 0 && nbr[di * 2 + dr] >= 0;
+    };
+    const std::int64_t rem =
+        NextHopFaulted(cp, dc, d_, n_, torus, pkt.klass, pkt.id, pkt.flags,
+                       alive, step, pkt.dist0, extra, dim, dir, is_detour);
+    pkt.flags = is_detour
+                    ? static_cast<std::uint16_t>(pkt.flags | Packet::kDetour)
+                    : static_cast<std::uint16_t>(pkt.flags & ~Packet::kDetour);
+    return rem + extra;
+  } else {
+    const std::int64_t rem = NextHop(cp, dc, d_, n_, torus, pkt.klass, dim, dir);
+    assert(dim >= 0);
+    return rem + extra;
+  }
+}
+
 template <bool kFaults, bool kSparse, bool kRecordSlots>
 void Engine::BidProc(PacketQueue* queues, ProcId p, std::int64_t step,
                      int parity, WorkerScratch* s) {
@@ -206,50 +243,17 @@ void Engine::BidProc(PacketQueue* queues, ProcId p, std::int64_t step,
   for (std::size_t k = 0; k < q.size(); ++k) {
     Packet& pkt = q[k];
     if (pkt.dest == p) continue;
-    const std::int32_t* dc =
-        &coords_[static_cast<std::size_t>(pkt.dest) * static_cast<std::size_t>(d_)];
     int dim, dir;
-    std::int64_t rem;
-    if constexpr (kFaults) {
-      // Farthest-first priority counts the full remaining path of a
-      // two-leg packet, not just the current leg.
-      std::int64_t extra = 0;
-      if ((pkt.flags & Packet::kTwoLeg) != 0) {
-        extra = topo_->Dist(pkt.dest, static_cast<ProcId>(pkt.tag));
+    const std::int64_t rem = Hop<kFaults>(cp, base, pkt, step, dim, dir);
+    if (kFaults && dim < 0) {
+      // Every outgoing link is dead: the packet holds in place. This is
+      // the one wait that never reaches the winner comparison, so it is
+      // recorded here.
+      if (opts_.journeys != nullptr) {
+        opts_.journeys->RecordWait(s->events, pkt.id, p, step,
+                                   JourneyEvent::kWaitLinksDead, -1, 0);
       }
-      bool is_detour = false;
-      // Boundary links (mesh) are filtered by the neighbor-table check; the
-      // dead mask only covers existing links.
-      const std::int32_t* nbr = &nbr_[base];
-      const std::uint8_t* dead = &link_dead_[base];
-      const auto alive = [nbr, dead](int di, int dr) {
-        return dead[di * 2 + dr] == 0 && nbr[di * 2 + dr] >= 0;
-      };
-      rem = NextHopFaulted(cp, dc, d_, n_, torus, pkt.klass, pkt.id, pkt.flags,
-                           alive, step, pkt.dist0, extra, dim, dir, is_detour);
-      pkt.flags = is_detour
-                      ? static_cast<std::uint16_t>(pkt.flags | Packet::kDetour)
-                      : static_cast<std::uint16_t>(pkt.flags &
-                                                   ~Packet::kDetour);
-      rem += extra;
-      if (dim < 0) {
-        // Every outgoing link is dead: the packet holds in place. This is
-        // the one wait that never reaches the winner comparison, so it is
-        // recorded here.
-        if (opts_.journeys != nullptr) {
-          opts_.journeys->RecordWait(s->events, pkt.id, p, step,
-                                     JourneyEvent::kWaitLinksDead, -1, 0);
-        }
-        continue;
-      }
-    } else {
-      rem = NextHop(cp, dc, d_, n_, torus, pkt.klass, dim, dir);
-      assert(dim >= 0);
-      // Farthest-first priority counts the full remaining path of a
-      // two-leg packet, not just the current leg.
-      if ((pkt.flags & Packet::kTwoLeg) != 0) {
-        rem += topo_->Dist(pkt.dest, static_cast<ProcId>(pkt.tag));
-      }
+      continue;
     }
     const std::size_t l = static_cast<std::size_t>(dim * 2 + dir);
     // Farthest remaining distance wins; ties to the smaller packet id.
@@ -303,20 +307,66 @@ void Engine::BidProc(PacketQueue* queues, ProcId p, std::int64_t step,
   }
 }
 
-template <bool kFaults, bool kRecordSlots>
-void Engine::StepPhaseA(PacketQueue* queues, std::int64_t step, int parity,
-                        std::int64_t begin, std::int64_t end,
-                        WorkerScratch* s) {
-  for (ProcId p = begin; p < end; ++p) {
-    BidProc<kFaults, false, kRecordSlots>(queues, p, step, parity, s);
+template <bool kFaults>
+ProcId Engine::BidLate(PacketQueue* queues, ProcId p, std::int64_t step) {
+  const auto links = static_cast<std::size_t>(2 * d_);
+  const std::size_t base = static_cast<std::size_t>(p) * links;
+  auto& q = queues[static_cast<std::size_t>(p)];
+  Packet& pkt = q[q.size() - 1];
+  const std::int32_t* cp =
+      &coords_[static_cast<std::size_t>(p) * static_cast<std::size_t>(d_)];
+  WorkerScratch& s = scratch_[0];
+  int dim, dir;
+  const std::int64_t rem = Hop<kFaults>(cp, base, pkt, step, dim, dir);
+  if (kFaults && dim < 0) {
+    if (opts_.journeys != nullptr) {
+      opts_.journeys->RecordWait(s.events, pkt.id, p, step,
+                                 JourneyEvent::kWaitLinksDead, -1, 0);
+    }
+    return -1;
   }
+  const auto l = static_cast<std::size_t>(dim * 2 + dir);
+  const auto r = static_cast<std::size_t>(nbr_[base + l]);
+  const int parity = static_cast<int>(step & 1);
+  const auto par = static_cast<std::size_t>(parity);
+  if (in_mask_[par * (in_mask_.size() / 2) + r * mask_stride_ + (l ^ 1)] == 0) {
+    // A free link: one new arena entry, as a bid would have posted.
+    pkt.flags |= Packet::kMoving;
+    Post(&s, parity, r, l ^ 1, pkt);
+    return static_cast<ProcId>(r);
+  }
+  // The link has a winner; only p posts to this entry, so the winner is in
+  // q. Re-deriving its priority is safe: the hop choice is idempotent on
+  // the flags it writes.
+  const std::uint32_t h = in_hdl_[par * (in_hdl_.size() / 2) + r * links + (l ^ 1)];
+  Packet& posted = scratch_[h & ((std::uint32_t{1} << shard_bits_) - 1)]
+                       .arena[parity][h >> shard_bits_];
+  std::size_t w = 0;
+  while (q[w].id != posted.id) ++w;
+  Packet& win = q[w];
+  int wdim, wdir;
+  const std::int64_t wrem = Hop<kFaults>(cp, base, win, step, wdim, wdir);
+  assert(wdim == dim && wdir == dir);
+  const bool takes = rem > wrem || (rem == wrem && pkt.id < win.id);
+  if (opts_.journeys != nullptr) {
+    opts_.journeys->RecordWait(s.events, takes ? win.id : pkt.id, p, step,
+                               JourneyEvent::kWaitLostBid, dim, dir);
+  }
+  if (takes) {
+    win.flags &= static_cast<std::uint16_t>(~Packet::kMoving);
+    pkt.flags |= Packet::kMoving;
+    posted = pkt;
+  }
+  return -1;
 }
 
 bool Engine::CommitProc(PacketQueue* queues, ProcId p, std::int32_t now,
-                        bool count_dirs, int parity, WorkerScratch& s) {
+                        bool count_dirs, bool retire, int parity,
+                        WorkerScratch& s) {
   const auto links = static_cast<std::size_t>(2 * d_);
   auto& q = queues[static_cast<std::size_t>(p)];
   bool inflight = false;
+  std::size_t retired = 0;
   // Stayers: compact everything not selected to move out, preserving order
   // (equivalent to the stayers-first rebuild of a fresh queue).
   std::size_t w = 0;
@@ -409,18 +459,21 @@ bool Engine::CommitProc(PacketQueue* queues, ProcId p, std::int32_t now,
         __builtin_prefetch(
             &coords_[static_cast<std::size_t>(pkt.dest) *
                      static_cast<std::size_t>(d_)]);
+      } else if (retire) {
+        s.delivered.push_back(pkt);
+        ++retired;
+        continue;
       }
       q.push_back(pkt);
     }
   }
-  s.qmax = std::max<std::int64_t>(s.qmax, static_cast<std::int64_t>(q.size()));
+  s.qmax = std::max<std::int64_t>(s.qmax,
+                                  static_cast<std::int64_t>(q.size() + retired));
   return inflight;
 }
 
 void Engine::RebuildActiveSet(Network& net) {
   const ProcId N = topo_->size();
-  const std::size_t words = (static_cast<std::size_t>(N) + 63) / 64;
-  if (touched_bits_.size() != words) touched_bits_.assign(words, 0);
   active_.clear();
   const auto& queues = net.queues();
   for (ProcId p = 0; p < N; ++p) {
@@ -460,152 +513,6 @@ void Engine::RebuildTouched(Network& net, int parity) {
       t = any != 0;
     }
     if (t) touched_.push_back(p);
-  }
-}
-
-void Engine::DenseStep(Network& net, std::int64_t step, std::int32_t now,
-                       bool count_dirs, InvariantChecker* checker) {
-  // Unfused two-phase step. Under a checker, CheckSlots must see the full
-  // winner table after every bid and before any delivery mutates the queues
-  // it indexes into; injector-driven runs pass checker == nullptr and skip
-  // the slot bookkeeping entirely.
-  const ProcId N = topo_->size();
-  const auto shards = static_cast<std::int64_t>(opts_.pool->ShardsFor(N));
-  const std::int64_t chunk = CeilDiv(N, shards);
-  const int parity = static_cast<int>(step & 1);
-  PacketQueue* const queues = net.queues().data();
-  const bool record_slots = checker != nullptr;
-  opts_.pool->ParallelFor(N, [&](std::int64_t b, std::int64_t e) {
-    WorkerScratch* const s = &scratch_[static_cast<std::size_t>(b / chunk)];
-    if (have_faults_) {
-      if (record_slots) {
-        StepPhaseA<true, true>(queues, step, parity, b, e, s);
-      } else {
-        StepPhaseA<true, false>(queues, step, parity, b, e, s);
-      }
-    } else {
-      if (record_slots) {
-        StepPhaseA<false, true>(queues, step, parity, b, e, s);
-      } else {
-        StepPhaseA<false, false>(queues, step, parity, b, e, s);
-      }
-    }
-  });
-  if (checker != nullptr) {
-    checker->CheckSlots(net, slot_, have_faults_ ? link_dead_.data() : nullptr,
-                        step);
-  }
-  opts_.pool->ParallelFor(N, [&](std::int64_t b, std::int64_t e) {
-    WorkerScratch& s = scratch_[static_cast<std::size_t>(b / chunk)];
-    for (ProcId p = b; p < e; ++p) {
-      CommitProc(queues, p, now, count_dirs, parity, s);
-    }
-  });
-  if (record_slots) slots_clean_ = false;  // rows hold this step's winners
-}
-
-void Engine::SparseStep(Network& net, std::int64_t step, std::int32_t now,
-                        bool count_dirs, InvariantChecker* checker) {
-  // Unfused sparse step (see DenseStep for the checker-vs-injector split).
-  const auto links = static_cast<std::size_t>(2 * d_);
-  const int parity = static_cast<int>(step & 1);
-  PacketQueue* const queues = net.queues().data();
-  const bool record_slots = checker != nullptr;
-  const auto na = static_cast<std::int64_t>(active_.size());
-  if (na > 0) {
-    const std::int64_t bid_chunk =
-        CeilDiv(na, static_cast<std::int64_t>(opts_.pool->ShardsFor(na)));
-    opts_.pool->ParallelFor(na, [&](std::int64_t b, std::int64_t e) {
-      WorkerScratch& s = scratch_[static_cast<std::size_t>(b / bid_chunk)];
-      if (have_faults_) {
-        if (record_slots) {
-          for (std::int64_t i = b; i < e; ++i) {
-            BidProc<true, true, true>(
-                queues, active_[static_cast<std::size_t>(i)], step, parity, &s);
-          }
-        } else {
-          for (std::int64_t i = b; i < e; ++i) {
-            BidProc<true, true, false>(
-                queues, active_[static_cast<std::size_t>(i)], step, parity, &s);
-          }
-        }
-      } else {
-        if (record_slots) {
-          for (std::int64_t i = b; i < e; ++i) {
-            BidProc<false, true, true>(
-                queues, active_[static_cast<std::size_t>(i)], step, parity, &s);
-          }
-        } else {
-          for (std::int64_t i = b; i < e; ++i) {
-            BidProc<false, true, false>(
-                queues, active_[static_cast<std::size_t>(i)], step, parity, &s);
-          }
-        }
-      }
-    });
-  }
-  if (checker != nullptr) {
-    checker->CheckActiveSet(net, active_, step);
-    checker->CheckSlots(net, slot_, have_faults_ ? link_dead_.data() : nullptr,
-                        step);
-  }
-  // Commit set = active processors plus every winner's receiving neighbor,
-  // deduped through a word bitmap whose scan also emits the set in
-  // ascending order — the commit and next step's bid then walk memory
-  // sequentially, which matters more than the scan's O(N/64) floor.
-  for (ProcId p : active_) {
-    touched_bits_[static_cast<std::size_t>(p) >> 6] |=
-        std::uint64_t{1} << (static_cast<std::size_t>(p) & 63);
-  }
-  for (const WorkerScratch& s : scratch_) {
-    for (ProcId r : s.receivers) {
-      touched_bits_[static_cast<std::size_t>(r) >> 6] |=
-          std::uint64_t{1} << (static_cast<std::size_t>(r) & 63);
-    }
-  }
-  touched_.clear();
-  for (std::size_t w = 0; w < touched_bits_.size(); ++w) {
-    std::uint64_t bits = touched_bits_[w];
-    if (bits == 0) continue;
-    touched_bits_[w] = 0;  // leave the bitmap clear for the next step
-    while (bits != 0) {
-      const int bit = std::countr_zero(bits);
-      bits &= bits - 1;
-      touched_.push_back(static_cast<ProcId>((w << 6) | static_cast<std::size_t>(bit)));
-    }
-  }
-  const auto nt = static_cast<std::int64_t>(touched_.size());
-  touched_inflight_.assign(static_cast<std::size_t>(nt), 0);
-  if (nt > 0) {
-    const std::int64_t commit_chunk =
-        CeilDiv(nt, static_cast<std::int64_t>(opts_.pool->ShardsFor(nt)));
-    opts_.pool->ParallelFor(nt, [&](std::int64_t b, std::int64_t e) {
-      WorkerScratch& s = scratch_[static_cast<std::size_t>(b / commit_chunk)];
-      for (std::int64_t i = b; i < e; ++i) {
-        touched_inflight_[static_cast<std::size_t>(i)] =
-            CommitProc(queues, touched_[static_cast<std::size_t>(i)], now,
-                       count_dirs, parity, s)
-                ? 1
-                : 0;
-      }
-    });
-  }
-  // Re-clear this step's bid rows so the next CheckSlots pass (which scans
-  // every row) sees no stale winners from processors that leave the active
-  // set. The routing itself never reads foreign slot rows, so injector runs
-  // (which never wrote slots) skip this.
-  if (record_slots) {
-    for (ProcId p : active_) {
-      const std::size_t base = static_cast<std::size_t>(p) * links;
-      for (std::size_t l = 0; l < links; ++l) slot_[base + l] = -1;
-    }
-  }
-  // Refresh the active set — O(|touched|), no full-mesh pass anywhere.
-  active_.clear();
-  for (std::int64_t i = 0; i < nt; ++i) {
-    if (touched_inflight_[static_cast<std::size_t>(i)] != 0) {
-      active_.push_back(touched_[static_cast<std::size_t>(i)]);
-    }
   }
 }
 
@@ -718,10 +625,15 @@ RouteResult Engine::RouteInternal(Network& net,
   // retargets immediately. A resumed run restores the accumulators instead:
   // the queues already carry fully initialized mid-run packets (dist0,
   // arrived stamps, detour locks) verbatim from the checkpoint.
+  StepInjector* const injector = opts_.injector;
   std::int64_t in_flight = 0;  // packets not yet at their final destination
   if (resume == nullptr) {
+    result.max_queue = net.MaxQueue();
     for (ProcId p = 0; p < N; ++p) {
-      for (Packet& pkt : queues[static_cast<std::size_t>(p)]) {
+      auto& q = queues[static_cast<std::size_t>(p)];
+      std::size_t w = 0;
+      for (std::size_t i = 0; i < q.size(); ++i) {
+        Packet pkt = q[i];
         pkt.flags &= static_cast<std::uint16_t>(
             ~(Packet::kMoving | Packet::kDetour | Packet::kLockMask));
         if ((pkt.flags & Packet::kTwoLeg) != 0) {
@@ -736,16 +648,28 @@ RouteResult Engine::RouteInternal(Network& net,
           pkt.dist0 = static_cast<std::int32_t>(topo_->Dist(p, pkt.dest));
         }
         pkt.arrived = pkt.dest == p ? 0 : -1;
-        if (jt != nullptr && opts_.injector == nullptr) {
-          // Drain-run packets start at t0 = 0, so latency = arrived.
+        if (jt != nullptr) {
+          // Preloads start at t0 = 0, so latency = arrived.
           jt->RecordInjected(pkt.id, p, 0, pkt.dist0, pkt.arrived == 0);
         }
         if (pkt.dest != p) ++in_flight;
         result.max_distance = std::max<std::int64_t>(result.max_distance, pkt.dist0);
         ++result.packets;
+        if (injector != nullptr) {
+          // Open-loop runs stamp preloads as injected at step 1 (latency
+          // arrived - tag + 1 = arrived) and retire the ones already home
+          // right here with latency 0.
+          pkt.tag = 1;
+          if (pkt.arrived == 0) {
+            result.overshoot.Add(0.0);
+            injector->OnDeliver(pkt, 0);
+            continue;
+          }
+        }
+        q[w++] = pkt;
       }
+      q.resize(w);
     }
-    result.max_queue = net.MaxQueue();
   } else {
     in_flight = resume->in_flight;
     result.packets = resume->packets;
@@ -766,7 +690,7 @@ RouteResult Engine::RouteInternal(Network& net,
 
   std::int64_t cap = opts_.step_cap;
   if (cap <= 0) {
-    if (opts_.injector != nullptr) {
+    if (injector != nullptr) {
       // The injector owns termination (kDrain/kStop); the preload-scaled
       // auto cap below would cut a continuous run short.
       cap = std::numeric_limits<std::int64_t>::max();
@@ -845,12 +769,16 @@ RouteResult Engine::RouteInternal(Network& net,
     WorkerScratch& s = scratch_[i];
     s.dir_moves.assign(count_dirs ? links : 0, 0);
     s.receivers.clear();
+    s.delivered.clear();
     s.shard = static_cast<std::uint32_t>(i);
     // An aborted Route may have left speculative bids in the arenas.
     s.arena[0].clear();
     s.arena[1].clear();
   }
   std::vector<std::int64_t> dir_moves_snapshot(count_dirs ? links : 0);
+  // One queue histogram per Route, refilled each step, and only when the
+  // probe asks for it: the step loop itself never allocates.
+  Histogram queue_hist(want_hist ? kQueueHistBuckets : 0);
 
   const double threshold = std::clamp(opts_.sparse_threshold, 0.0, 1.0);
   const bool have_faults = have_faults_;
@@ -989,13 +917,13 @@ RouteResult Engine::RouteInternal(Network& net,
       snap.dim_dir_moves = dir_moves_snapshot.data();
       snap.active_procs = active_procs;
       snap.injected = step_injected;
-      Histogram hist(kQueueHistBuckets);
       if (want_hist) {
+        queue_hist.Clear();
         for (ProcId p = 0; p < N; ++p) {
-          hist.Add(static_cast<std::int64_t>(
+          queue_hist.Add(static_cast<std::int64_t>(
               queues[static_cast<std::size_t>(p)].size()));
         }
-        snap.queue_hist = &hist;
+        snap.queue_hist = &queue_hist;
       }
       probe->OnStep(snap);
     }
@@ -1013,14 +941,14 @@ RouteResult Engine::RouteInternal(Network& net,
   };
 
   bool injector_stopped = false;
-  StepInjector* const injector = opts_.injector;
 
   // Checkpointing. `injecting` lives at function scope (instead of inside
-  // the injector branch) because the snapshot must capture it; non-injector
-  // runs never read it. Snapshots are taken at clean unfused step
-  // boundaries only — post-commit, every queue is free of the kMoving
-  // scratch bit and the parity mailbox row for the step is fully consumed,
-  // so queues + accumulators + the injector blob are the whole state.
+  // the injection helper) because the snapshot must capture it;
+  // non-injector runs never read it. Snapshots are taken at clean step
+  // boundaries only — after a pass that committed without bidding ahead,
+  // every queue is free of the kMoving scratch bit and the step's mailbox
+  // buffer is fully consumed, so queues + accumulators + the injector blob
+  // are the whole state.
   bool injecting = resume != nullptr ? resume->injecting : true;
   CheckpointSink* const sink = opts_.checkpoint;
   const auto save_checkpoint = [&](const char* cause) {
@@ -1059,418 +987,366 @@ RouteResult Engine::RouteInternal(Network& net,
     sink->Save(st, cause);
   };
 
-  if (injector != nullptr) {
-    // Open-loop injection: unfused two-phase steps with per-step injection
-    // before the bids and delivery retirement after the commits (contract
-    // in engine.h). Preloaded packets count as injected at step 1; ones
-    // already at their destination retire right here with latency 0. A
-    // resumed run skips the normalization — its queues are already mid-run.
-    if (resume == nullptr) {
-      for (ProcId p = 0; p < N; ++p) {
-        auto& q = queues[static_cast<std::size_t>(p)];
-        std::size_t w = 0;
-        const std::size_t sz = q.size();
-        for (std::size_t i = 0; i < sz; ++i) {
-          q[i].tag = 1;
-          if (jt != nullptr) {
-            // Preloads count as injected at t0 = 0 (tag 1, latency
-            // arrived - tag + 1 = arrived); zero-hop ones deliver here.
-            jt->RecordInjected(q[i].id, p, 0, q[i].dist0, q[i].arrived >= 0);
-          }
-          if (q[i].arrived >= 0) {
-            q[i].arrived = 0;
-            result.overshoot.Add(0.0);
-            injector->OnDeliver(q[i], 0);
-            continue;
-          }
-          if (w != i) q[w] = q[i];
-          ++w;
-        }
-        q.resize(w);
+  // Sparse commit sets. Marks dedupe through a word bitmap whose scan
+  // emits touched_ ascending, so a pass walks queue memory sequentially;
+  // the scan clears the words on the way. `marked`: the bitmap holds every
+  // processor with an in-flight packet plus every receiver of the posted
+  // bids. `active_valid`: active_ lists exactly the processors holding
+  // in-flight packets (true right after a sparse pass).
+  const std::size_t words = (static_cast<std::size_t>(N) + 63) / 64;
+  if (touched_bits_.size() != words) touched_bits_.assign(words, 0);
+  const auto mark = [&](ProcId p) {
+    touched_bits_[static_cast<std::size_t>(p) >> 6] |=
+        std::uint64_t{1} << (static_cast<std::size_t>(p) & 63);
+  };
+  const auto mark_bids = [&] {
+    for (ProcId p : active_) mark(p);
+    for (const WorkerScratch& s : scratch_) {
+      for (ProcId r : s.receivers) mark(r);
+    }
+  };
+  const auto scan_marks = [&] {
+    touched_.clear();
+    for (std::size_t wd = 0; wd < touched_bits_.size(); ++wd) {
+      std::uint64_t bits = touched_bits_[wd];
+      if (bits == 0) continue;
+      touched_bits_[wd] = 0;
+      while (bits != 0) {
+        const int bit = std::countr_zero(bits);
+        bits &= bits - 1;
+        touched_.push_back(
+            static_cast<ProcId>((wd << 6) | static_cast<std::size_t>(bit)));
       }
     }
-    std::vector<std::pair<ProcId, Packet>> batch;
-    std::vector<ProcId> injected_procs;
-    bool active_valid = false;
-    while ((injecting || in_flight > arrivals_total) && step < cap) {
-      ++step;
-      const bool fault_event = apply_events(step);
-      const auto now = static_cast<std::int32_t>(step);
-      std::int64_t step_injected = 0;
-      if (injecting) {
-        batch.clear();
-        const InjectAction action = injector->Inject(step, &batch);
-        if (action != InjectAction::kContinue) injecting = false;
-        if (action == InjectAction::kStop) injector_stopped = true;
-        injected_procs.clear();
-        for (auto& [src, pkt] : batch) {
-          pkt.flags &= static_cast<std::uint16_t>(
-              ~(Packet::kMoving | Packet::kDetour | Packet::kLockMask |
-                Packet::kTwoLeg));
-          pkt.tag = step;
-          pkt.dist0 = static_cast<std::int32_t>(topo_->Dist(src, pkt.dest));
-          result.max_distance =
-              std::max<std::int64_t>(result.max_distance, pkt.dist0);
-          ++result.packets;
-          ++step_injected;
-          if (jt != nullptr) {
-            // Injected before the bids of `step`: the packet can move this
-            // very step, so t0 = step - 1 makes latency = moves + waits.
-            jt->RecordInjected(pkt.id, src, step - 1, pkt.dist0,
-                               pkt.dest == src);
-          }
-          if (pkt.dest == src) {
-            // Zero-hop traffic never enters the network: arrived is set one
-            // step back so latency (arrived - tag + 1) reads 0.
-            pkt.arrived = static_cast<std::int32_t>(now - 1);
-            result.overshoot.Add(0.0);
-            injector->OnDeliver(pkt, step);
-            continue;
-          }
-          pkt.arrived = -1;
-          queues[static_cast<std::size_t>(src)].push_back(pkt);
-          ++in_flight;
-          if (active_valid) injected_procs.push_back(src);
-        }
-        if (active_valid && !injected_procs.empty()) {
-          // Newly injected processors join the sparse active set (merge
-          // keeps it ascending and deduped).
-          std::sort(injected_procs.begin(), injected_procs.end());
-          const auto old = static_cast<std::ptrdiff_t>(active_.size());
-          active_.insert(active_.end(), injected_procs.begin(),
-                         injected_procs.end());
-          std::inplace_merge(active_.begin(), active_.begin() + old,
-                             active_.end());
-          active_.erase(std::unique(active_.begin(), active_.end()),
-                        active_.end());
-        }
-      }
-      const bool use_sparse = mode_for(in_flight - arrivals_total);
-      reset_scratch(static_cast<int>(step & 1));
-      if (use_sparse) {
-        if (!active_valid) {
-          RebuildActiveSet(net);
-          active_valid = true;
-        }
-        SparseStep(net, step, now, count_dirs, nullptr);
-        ++result.sparse_steps;
-      } else {
-        active_valid = false;
-        DenseStep(net, step, now, count_dirs, nullptr);
-      }
-      // Retire delivered packets: ascending processor order (the sparse
-      // commit set is emitted ascending), queue order within a processor.
-      const auto retire = [&](ProcId p) {
-        auto& q = queues[static_cast<std::size_t>(p)];
-        std::size_t w = 0;
-        const std::size_t sz = q.size();
-        for (std::size_t i = 0; i < sz; ++i) {
-          if (q[i].arrived >= 0) {
-            const std::int64_t over =
-                (static_cast<std::int64_t>(q[i].arrived) - q[i].tag + 1) -
-                q[i].dist0;
-            result.overshoot.Add(static_cast<double>(over));
-            result.max_overshoot = std::max(result.max_overshoot, over);
-            injector->OnDeliver(q[i], step);
-            continue;
-          }
-          if (w != i) q[w] = q[i];
-          ++w;
-        }
-        q.resize(w);
-      };
-      if (use_sparse) {
-        for (ProcId p : touched_) retire(p);
-      } else {
-        for (ProcId p = 0; p < N; ++p) retire(p);
-      }
-      const auto [step_arrivals, step_moves] = reduce_scratch();
-      if (emit_step(step, step_arrivals, step_moves,
-                    fault_event || step_injected > 0,
-                    use_sparse ? static_cast<std::int64_t>(active_.size())
-                               : -1,
-                    step_injected)) {
-        watchdog_fired = true;
-        break;
-      }
-      if (injector_stopped) break;
-      if (sink != nullptr && (injecting || in_flight > arrivals_total) &&
-          sink->Due(step)) {
-        save_checkpoint("cadence");
-      }
-    }
-  } else if (checker != nullptr || sink != nullptr || resume != nullptr) {
-    // Unfused path: plain two-phase steps (bid, CheckSlots, commit) so the
-    // per-phase invariants see exactly the state they are specified on.
-    // Checkpointing and resume ride the same loop — snapshots need the
-    // clean post-commit boundary the fused pipeline never exposes, and a
-    // resumed run must step identically to the checkpointing one (unfused
-    // and fused are byte-identical by the equality contract, so forcing
-    // this loop never changes results).
-    bool active_valid = false;
-    while (in_flight > arrivals_total && step < cap) {
-      ++step;
-      const bool fault_event = apply_events(step);
-      const bool use_sparse = mode_for(in_flight - arrivals_total);
-      reset_scratch(static_cast<int>(step & 1));
-      const auto now = static_cast<std::int32_t>(step);
-      if (use_sparse) {
-        if (!active_valid) {
-          RebuildActiveSet(net);
-          active_valid = true;
-        }
-        if (checker != nullptr && !slots_clean_) {
-          // CheckSlots scans every slot row, so entering sparse mode after
-          // a dense step must erase the dense pass's winners once; sparse
-          // steps then keep the rows clean incrementally.
-          std::fill(slot_.begin(), slot_.end(), -1);
-          slots_clean_ = true;
-        }
-        SparseStep(net, step, now, count_dirs, checker.get());
-        ++result.sparse_steps;
-      } else {
-        active_valid = false;
-        DenseStep(net, step, now, count_dirs, checker.get());
-      }
-      if (checker != nullptr) {
-        try {
-          checker->CheckStep(net, step);
-        } catch (...) {
-          // Invariant violations throw; the black box must hit disk before
-          // the exception unwinds past the engine.
-          if (recorder != nullptr) recorder->Dump("invariant_failure");
-          throw;
-        }
-      }
-      const auto [step_arrivals, step_moves] = reduce_scratch();
-      if (emit_step(step, step_arrivals, step_moves, fault_event,
-                    use_sparse ? static_cast<std::int64_t>(active_.size())
-                               : -1,
-                    0)) {
-        watchdog_fired = true;
-        break;
-      }
-      if (sink != nullptr && in_flight > arrivals_total && sink->Due(step)) {
-        save_checkpoint("cadence");
-      }
-    }
-  } else if (in_flight > 0) {
-    // Fused pipeline: one pass over the commit set per step performs
-    // commit(S) and immediately bids S+1 from the still-hot queue — each
-    // processor is traversed once per step, with no mid-step barrier (the
-    // parity mailbox keeps the early S+1 scatter off step-S entries).
-    // Fault events for S+1 must therefore be applied before pass S runs.
-    const std::size_t words = (static_cast<std::size_t>(N) + 63) / 64;
-    if (touched_bits_.size() != words) touched_bits_.assign(words, 0);
-    const auto mark = [&](ProcId p) {
-      touched_bits_[static_cast<std::size_t>(p) >> 6] |=
-          std::uint64_t{1} << (static_cast<std::size_t>(p) & 63);
-    };
-    // Bitmap scan emits the commit set deduped and ascending, so the pass
-    // walks queue memory sequentially; the words are cleared on the way.
-    const auto scan_marks = [&] {
-      touched_.clear();
-      for (std::size_t wd = 0; wd < touched_bits_.size(); ++wd) {
-        std::uint64_t bits = touched_bits_[wd];
-        if (bits == 0) continue;
-        touched_bits_[wd] = 0;
-        while (bits != 0) {
-          const int bit = std::countr_zero(bits);
-          bits &= bits - 1;
-          touched_.push_back(
-              static_cast<ProcId>((wd << 6) | static_cast<std::size_t>(bit)));
-        }
-      }
-    };
+  };
+  bool marked = false;
+  bool active_valid = false;
 
-    // Bootstrap: bid step 1 on its own (every later bid rides a commit).
-    bool fault_event_next = apply_events(1);
-    bool cur_sparse = mode_for(in_flight);
-    reset_scratch(1);
-    if (cur_sparse) {
-      RebuildActiveSet(net);
+  // Bids step `at` for every processor holding an in-flight packet in one
+  // dispatch: the pipeline's bootstrap at Route/Resume start and after
+  // every clean step (every later bid rides a commit). Under the checker
+  // it publishes the winner slots and runs the slot and active-set checks
+  // the bids are specified on.
+  const bool record_slots = checker != nullptr;
+  const auto bid_all = [&](std::int64_t at, bool sparse) {
+    const int parity = static_cast<int>(at & 1);
+    reset_scratch(parity);
+    using BidFn = void (Engine::*)(PacketQueue*, ProcId, std::int64_t, int,
+                                   WorkerScratch*);
+    static constexpr BidFn kBid[2][2][2] = {  // [faults][sparse][slots]
+        {{&Engine::BidProc<false, false, false>,
+          &Engine::BidProc<false, false, true>},
+         {&Engine::BidProc<false, true, false>,
+          &Engine::BidProc<false, true, true>}},
+        {{&Engine::BidProc<true, false, false>,
+          &Engine::BidProc<true, false, true>},
+         {&Engine::BidProc<true, true, false>,
+          &Engine::BidProc<true, true, true>}}};
+    const BidFn bid = kBid[have_faults][sparse][record_slots];
+    if (sparse) {
+      if (!active_valid) RebuildActiveSet(net);
+      if (record_slots && !slots_clean_) {
+        // CheckSlots scans every slot row, so entering sparse mode after
+        // a dense bid must erase that bid's winners once; sparse steps
+        // then keep the rows clean incrementally.
+        std::fill(slot_.begin(), slot_.end(), -1);
+        slots_clean_ = true;
+      }
       const auto na = static_cast<std::int64_t>(active_.size());
       const std::int64_t chunk =
           CeilDiv(na, static_cast<std::int64_t>(opts_.pool->ShardsFor(na)));
       opts_.pool->ParallelFor(na, [&](std::int64_t b, std::int64_t e) {
-        WorkerScratch& s = scratch_[static_cast<std::size_t>(b / chunk)];
-        if (have_faults) {
-          for (std::int64_t i = b; i < e; ++i) {
-            BidProc<true, true, false>(
-                queues, active_[static_cast<std::size_t>(i)], 1, 1, &s);
-          }
-        } else {
-          for (std::int64_t i = b; i < e; ++i) {
-            BidProc<false, true, false>(
-                queues, active_[static_cast<std::size_t>(i)], 1, 1, &s);
-          }
+        WorkerScratch* const s = &scratch_[static_cast<std::size_t>(b / chunk)];
+        for (std::int64_t i = b; i < e; ++i) {
+          (this->*bid)(queues, active_[static_cast<std::size_t>(i)], at,
+                       parity, s);
         }
       });
-      for (ProcId p : active_) mark(p);
-      for (const WorkerScratch& s : scratch_) {
-        for (ProcId r : s.receivers) mark(r);
-      }
-      scan_marks();
+      mark_bids();
+      marked = true;
+      if (checker != nullptr) checker->CheckActiveSet(net, active_, at);
     } else {
       const std::int64_t chunk =
           CeilDiv(N, static_cast<std::int64_t>(opts_.pool->ShardsFor(N)));
       opts_.pool->ParallelFor(N, [&](std::int64_t b, std::int64_t e) {
-        WorkerScratch* const s =
-            &scratch_[static_cast<std::size_t>(b / chunk)];
-        if (have_faults) {
-          for (ProcId p = b; p < e; ++p) {
-            BidProc<true, false, false>(queues, p, 1, 1, s);
-          }
-        } else {
-          for (ProcId p = b; p < e; ++p) {
-            BidProc<false, false, false>(queues, p, 1, 1, s);
-          }
-        }
+        WorkerScratch* const s = &scratch_[static_cast<std::size_t>(b / chunk)];
+        for (ProcId p = b; p < e; ++p) (this->*bid)(queues, p, at, parity, s);
       });
+      slots_clean_ = false;  // a dense checker bid wrote every row
     }
+    if (checker != nullptr) {
+      checker->CheckSlots(net, slot_, have_faults ? link_dead_.data() : nullptr,
+                          at);
+    }
+  };
 
-    while (in_flight > arrivals_total && step < cap) {
-      ++step;
-      const bool fault_event = fault_event_next;
-      fault_event_next = apply_events(step + 1);
-      const auto now = static_cast<std::int32_t>(step);
-      const int cparity = static_cast<int>(step & 1);  // commit buffer
-      const int bparity = cparity ^ 1;                 // bid buffer (S+1)
-      reset_scratch(bparity);
-      std::int64_t nt = 0;
-      if (cur_sparse) {
-        ++result.sparse_steps;
-        nt = static_cast<std::int64_t>(touched_.size());
-        touched_inflight_.assign(static_cast<std::size_t>(nt), 0);
-        if (nt > 0) {
-          const std::int64_t chunk = CeilDiv(
-              nt, static_cast<std::int64_t>(opts_.pool->ShardsFor(nt)));
-          const std::size_t rows = static_cast<std::size_t>(N);
-          opts_.pool->ParallelFor(nt, [&](std::int64_t b, std::int64_t e) {
-            WorkerScratch& s = scratch_[static_cast<std::size_t>(b / chunk)];
-            // The pass is memory-latency-bound (queue rows, presence rows,
-            // destination coordinates are all strided or random). Process
-            // in small batches — prefetch every batch member, commit them
-            // all (the commit also prefetches each survivor's destination
-            // coordinates), then bid them all — so the misses of ~16
-            // independent processors are in flight at once instead of one
-            // serial chain. Reordering is safe: a commit touches only its
-            // own queue and step-S rows, a bid writes only step-S+1 rows.
-            constexpr std::int64_t kBatch = 16;
-            for (std::int64_t i0 = b; i0 < e; i0 += kBatch) {
-              const std::int64_t i1 = std::min(i0 + kBatch, e);
-              for (std::int64_t i = i0; i < i1; ++i) {
-                const auto pf = static_cast<std::size_t>(
-                    touched_[static_cast<std::size_t>(i)]);
-                const char* const qp =
-                    reinterpret_cast<const char*>(&queues[pf]);
-                __builtin_prefetch(qp);
-                __builtin_prefetch(qp + 64);
-                __builtin_prefetch(
-                    in_mask_.data() +
-                    (static_cast<std::size_t>(cparity) * rows + pf) *
-                        mask_stride_);
-                __builtin_prefetch(
-                    in_hdl_.data() +
-                    (static_cast<std::size_t>(cparity) * rows + pf) * links);
-              }
-              for (std::int64_t i = i0; i < i1; ++i) {
-                touched_inflight_[static_cast<std::size_t>(i)] =
-                    CommitProc(queues, touched_[static_cast<std::size_t>(i)],
-                               now, count_dirs, cparity, s)
-                        ? 1
-                        : 0;
-              }
-              for (std::int64_t i = i0; i < i1; ++i) {
-                if (touched_inflight_[static_cast<std::size_t>(i)] != 0) {
-                  const ProcId p = touched_[static_cast<std::size_t>(i)];
-                  if (have_faults) {
-                    BidProc<true, true, false>(queues, p, step + 1, bparity,
-                                               &s);
-                  } else {
-                    BidProc<false, true, false>(queues, p, step + 1, bparity,
-                                                &s);
-                  }
-                }
-              }
-            }
-          });
-        }
-      } else {
-        const std::int64_t chunk =
-            CeilDiv(N, static_cast<std::int64_t>(opts_.pool->ShardsFor(N)));
-        opts_.pool->ParallelFor(N, [&](std::int64_t b, std::int64_t e) {
+  // Injection for step `at`, whose bids are already posted: the engine
+  // stamps each packet, hands zero-hop ones straight back, and bids the
+  // rest late against their link's current winner (BidLate). Returns the
+  // number of packets injected.
+  std::vector<std::pair<ProcId, Packet>> batch;
+  const auto inject = [&](std::int64_t at) -> std::int64_t {
+    batch.clear();
+    const InjectAction action = injector->Inject(at, &batch);
+    if (action != InjectAction::kContinue) injecting = false;
+    if (action == InjectAction::kStop) injector_stopped = true;
+    for (auto& [src, pkt] : batch) {
+      pkt.flags &= static_cast<std::uint16_t>(
+          ~(Packet::kMoving | Packet::kDetour | Packet::kLockMask |
+            Packet::kTwoLeg));
+      pkt.tag = at;
+      pkt.dist0 = static_cast<std::int32_t>(topo_->Dist(src, pkt.dest));
+      result.max_distance =
+          std::max<std::int64_t>(result.max_distance, pkt.dist0);
+      ++result.packets;
+      if (jt != nullptr) {
+        // Injected before the moves of `at`: the packet can move that very
+        // step, so t0 = at - 1 makes latency = moves + waits.
+        jt->RecordInjected(pkt.id, src, at - 1, pkt.dist0, pkt.dest == src);
+      }
+      if (pkt.dest == src) {
+        // Zero-hop traffic never enters the network: arrived is set one
+        // step back so latency (arrived - tag + 1) reads 0.
+        pkt.arrived = static_cast<std::int32_t>(at - 1);
+        result.overshoot.Add(0.0);
+        injector->OnDeliver(pkt, at);
+        continue;
+      }
+      pkt.arrived = -1;
+      queues[static_cast<std::size_t>(src)].push_back(pkt);
+      ++in_flight;
+      const ProcId r = have_faults ? BidLate<true>(queues, src, at)
+                                   : BidLate<false>(queues, src, at);
+      if (marked) {
+        mark(src);
+        if (r >= 0) mark(r);
+      }
+    }
+    return static_cast<std::int64_t>(batch.size());
+  };
+
+  // Picks the traversal of the pass that commits step `at` (after its
+  // injection, so the in-flight count is final) and builds its commit set:
+  // one bitmap scan when the bids were marked, else one O(N) scan on a
+  // dense-to-sparse switch.
+  bool cur_sparse = false;
+  const auto plan_pass = [&](std::int64_t at) {
+    cur_sparse = mode_for(in_flight - arrivals_total);
+    if (marked) {
+      scan_marks();
+      marked = false;
+    } else if (cur_sparse) {
+      RebuildTouched(net, static_cast<int>(at & 1));
+    }
+  };
+
+  // The step loop. Each pass commits step S and, in the same traversal,
+  // bids S+1 from the still-hot queue — each processor is visited once per
+  // step with no mid-step barrier (the parity mailbox keeps the early S+1
+  // scatter off step-S entries), so S+1's flap edges apply before pass S.
+  // A clean pass only commits: under the checker, at checkpoint cadence,
+  // and when the run is known to end at S (step cap, kStop, a pending
+  // interrupt). The next step then bootstraps with a bid of its own.
+  const bool poll_interrupt = recorder != nullptr || sink != nullptr;
+  const auto continuing = [&] {
+    return (injector != nullptr && injecting) || in_flight > arrivals_total;
+  };
+  std::int64_t step_injected = 0;  // injected at step + 1
+  bool fault_event = false;        // a flap edge fires at step + 1
+  bool posted = false;             // the mailbox holds step + 1's bids
+  while (continuing() && step < cap) {
+    if (!posted) {
+      fault_event = apply_events(step + 1);
+      bid_all(step + 1, mode_for(in_flight - arrivals_total));
+    } else if (cur_sparse) {
+      mark_bids();
+      marked = true;
+    }
+    step_injected = injector != nullptr && injecting ? inject(step + 1) : 0;
+    plan_pass(step + 1);
+    ++step;
+    const auto now = static_cast<std::int32_t>(step);
+    const bool due = sink != nullptr && sink->Due(step);
+    const bool clean =
+        checker != nullptr || due || step == cap || injector_stopped ||
+        (poll_interrupt && FlightRecorder::InterruptRequested());
+    const bool next_fault_event = !clean && apply_events(step + 1);
+    const int cparity = static_cast<int>(step & 1);  // commit buffer
+    const int bparity = cparity ^ 1;                 // bid buffer (S+1)
+    const bool retire = injector != nullptr;
+    reset_scratch(bparity);
+    std::int64_t nt = 0;
+    if (cur_sparse) {
+      ++result.sparse_steps;
+      nt = static_cast<std::int64_t>(touched_.size());
+      touched_inflight_.assign(static_cast<std::size_t>(nt), 0);
+      if (nt > 0) {
+        const std::int64_t chunk = CeilDiv(
+            nt, static_cast<std::int64_t>(opts_.pool->ShardsFor(nt)));
+        const std::size_t rows = static_cast<std::size_t>(N);
+        opts_.pool->ParallelFor(nt, [&](std::int64_t b, std::int64_t e) {
           WorkerScratch& s = scratch_[static_cast<std::size_t>(b / chunk)];
-          // Commit-then-bid in small batches, as in the sparse pass: the
-          // sequential arrays stream well, but the batch gap gives the
-          // commit's destination-coordinate prefetches time to land
-          // before the bids consume them.
+          // The pass is memory-latency-bound (queue rows, presence rows,
+          // destination coordinates are all strided or random). Process
+          // in small batches — prefetch every batch member, commit them
+          // all (the commit also prefetches each survivor's destination
+          // coordinates), then bid them all — so the misses of ~16
+          // independent processors are in flight at once instead of one
+          // serial chain. Reordering is safe: a commit touches only its
+          // own queue and step-S rows, a bid writes only step-S+1 rows.
           constexpr std::int64_t kBatch = 16;
-          for (std::int64_t p0 = b; p0 < e; p0 += kBatch) {
-            const std::int64_t p1 = std::min(p0 + kBatch, e);
-            bool infl[kBatch];
-            for (ProcId p = p0; p < p1; ++p) {
-              infl[p - p0] = CommitProc(queues, p, now, count_dirs,
-                                        cparity, s);
+          for (std::int64_t i0 = b; i0 < e; i0 += kBatch) {
+            const std::int64_t i1 = std::min(i0 + kBatch, e);
+            for (std::int64_t i = i0; i < i1; ++i) {
+              const auto pf = static_cast<std::size_t>(
+                  touched_[static_cast<std::size_t>(i)]);
+              const char* const qp =
+                  reinterpret_cast<const char*>(&queues[pf]);
+              __builtin_prefetch(qp);
+              __builtin_prefetch(qp + 64);
+              __builtin_prefetch(
+                  in_mask_.data() +
+                  (static_cast<std::size_t>(cparity) * rows + pf) *
+                      mask_stride_);
+              __builtin_prefetch(
+                  in_hdl_.data() +
+                  (static_cast<std::size_t>(cparity) * rows + pf) * links);
             }
-            for (ProcId p = p0; p < p1; ++p) {
-              if (infl[p - p0]) {
+            for (std::int64_t i = i0; i < i1; ++i) {
+              touched_inflight_[static_cast<std::size_t>(i)] =
+                  CommitProc(queues, touched_[static_cast<std::size_t>(i)],
+                             now, count_dirs, retire, cparity, s)
+                      ? 1
+                      : 0;
+            }
+            if (clean) continue;
+            for (std::int64_t i = i0; i < i1; ++i) {
+              if (touched_inflight_[static_cast<std::size_t>(i)] != 0) {
+                const ProcId p = touched_[static_cast<std::size_t>(i)];
                 if (have_faults) {
-                  BidProc<true, false, false>(queues, p, step + 1, bparity,
-                                              &s);
+                  BidProc<true, true, false>(queues, p, step + 1, bparity,
+                                             &s);
                 } else {
-                  BidProc<false, false, false>(queues, p, step + 1, bparity,
-                                               &s);
+                  BidProc<false, true, false>(queues, p, step + 1, bparity,
+                                              &s);
                 }
               }
             }
           }
         });
       }
-      const auto [step_arrivals, step_moves] = reduce_scratch();
-      const std::int64_t remaining = in_flight - arrivals_total;
-      const bool next_sparse = mode_for(remaining);
-      std::int64_t active_procs = cur_sparse ? 0 : -1;
-      if (remaining > 0 && next_sparse) {
-        if (cur_sparse) {
-          // Incremental: next commit set = still-in-flight processors plus
-          // the receivers of the bids just scattered. O(|touched|).
-          std::int64_t na = 0;
-          for (std::int64_t i = 0; i < nt; ++i) {
-            if (touched_inflight_[static_cast<std::size_t>(i)] != 0) {
-              mark(touched_[static_cast<std::size_t>(i)]);
-              ++na;
+    } else {
+      const std::int64_t chunk =
+          CeilDiv(N, static_cast<std::int64_t>(opts_.pool->ShardsFor(N)));
+      opts_.pool->ParallelFor(N, [&](std::int64_t b, std::int64_t e) {
+        WorkerScratch& s = scratch_[static_cast<std::size_t>(b / chunk)];
+        // Commit-then-bid in small batches, as in the sparse pass: the
+        // sequential arrays stream well, but the batch gap gives the
+        // commit's destination-coordinate prefetches time to land
+        // before the bids consume them.
+        constexpr std::int64_t kBatch = 16;
+        for (std::int64_t p0 = b; p0 < e; p0 += kBatch) {
+          const std::int64_t p1 = std::min(p0 + kBatch, e);
+          bool infl[kBatch];
+          for (ProcId p = p0; p < p1; ++p) {
+            infl[p - p0] = CommitProc(queues, p, now, count_dirs, retire,
+                                      cparity, s);
+          }
+          if (clean) continue;
+          for (ProcId p = p0; p < p1; ++p) {
+            if (infl[p - p0]) {
+              if (have_faults) {
+                BidProc<true, false, false>(queues, p, step + 1, bparity, &s);
+              } else {
+                BidProc<false, false, false>(queues, p, step + 1, bparity, &s);
+              }
             }
           }
-          for (const WorkerScratch& s : scratch_) {
-            for (ProcId r : s.receivers) mark(r);
-          }
-          scan_marks();
-          active_procs = na;
-        } else {
-          // Dense-to-sparse transition: one O(N) scan. Occupancy only
-          // decays, so this runs at most once per Route call.
-          RebuildTouched(net, bparity);
         }
-      }
-      cur_sparse = next_sparse;
-      if (emit_step(step, step_arrivals, step_moves, fault_event,
-                    active_procs, 0)) {
-        watchdog_fired = true;
-        break;
+      });
+    }
+    posted = !clean;
+    const auto [step_arrivals, step_moves] = reduce_scratch();
+    if (injector != nullptr) {
+      // Retire this step's deliveries. Workers own ascending processor
+      // ranges (the sparse commit set is ascending too), so shard order is
+      // ascending processor order, then queue order.
+      for (WorkerScratch& s : scratch_) {
+        for (const Packet& pkt : s.delivered) {
+          const std::int64_t over =
+              (static_cast<std::int64_t>(pkt.arrived) - pkt.tag + 1) -
+              pkt.dist0;
+          result.overshoot.Add(static_cast<double>(over));
+          result.max_overshoot = std::max(result.max_overshoot, over);
+          injector->OnDeliver(pkt, step);
+        }
+        s.delivered.clear();
       }
     }
+    std::int64_t active_procs = -1;
+    if (cur_sparse) {
+      if (record_slots) {
+        // Re-clear the bidders' slot rows so the next CheckSlots pass
+        // (which scans every row) sees no stale winners from processors
+        // that leave the active set.
+        for (ProcId p : active_) {
+          const std::size_t base = static_cast<std::size_t>(p) * links;
+          std::fill_n(slot_.begin() + static_cast<std::ptrdiff_t>(base),
+                      links, -1);
+        }
+      }
+      // The still-in-flight processors, O(|touched|): the next active set.
+      active_.clear();
+      for (std::int64_t i = 0; i < nt; ++i) {
+        if (touched_inflight_[static_cast<std::size_t>(i)] != 0) {
+          active_.push_back(touched_[static_cast<std::size_t>(i)]);
+        }
+      }
+      active_procs = static_cast<std::int64_t>(active_.size());
+    }
+    active_valid = cur_sparse;
+    if (checker != nullptr) {
+      try {
+        checker->CheckStep(net, step);
+      } catch (...) {
+        // Invariant violations throw; the black box must hit disk before
+        // the exception unwinds past the engine.
+        if (recorder != nullptr) recorder->Dump("invariant_failure");
+        throw;
+      }
+    }
+    if (emit_step(step, step_arrivals, step_moves,
+                  fault_event || step_injected > 0, active_procs,
+                  step_injected)) {
+      watchdog_fired = true;
+      break;
+    }
+    if (injector_stopped) break;
+    if (posted) {
+      fault_event = next_fault_event;
+    } else if (due && continuing()) {
+      save_checkpoint("cadence");
+    }
+  }
+  if (posted) {
+    // The run ended after a pass that already bid the next step: strip the
+    // speculative bids (the mailbox clears lazily on the next Route) and
+    // undo that step's flap edges, so the queues, the stall report and an
+    // abort snapshot all show the end of the last completed step.
     if (in_flight > arrivals_total) {
-      // Aborted (step cap or watchdog) with the pipeline's speculative
-      // step+1 bids already scattered: flag the mailbox for lazy clearing
-      // and strip the bid marks so the exposed queues match the unfused
-      // engine's post-commit state.
       mailbox_dirty_ = true;
       for (ProcId p = 0; p < N; ++p) {
         for (Packet& pkt : queues[static_cast<std::size_t>(p)]) {
           pkt.flags &= static_cast<std::uint16_t>(~Packet::kMoving);
         }
       }
+    }
+    while (event_cursor > 0 && events_[event_cursor - 1].step > step) {
+      const FaultPlan::FlapEvent& ev = events_[--event_cursor];
+      const auto l = static_cast<std::size_t>(ev.link);
+      flap_count_[l] -= ev.delta;
+      link_dead_[l] = (link_dead_perm_[l] != 0 || flap_count_[l] > 0) ? 1 : 0;
+      --fault_events_total;
     }
   }
 
@@ -1492,8 +1368,9 @@ RouteResult Engine::RouteInternal(Network& net,
       recorder->Dump(result.stall_report->ReasonName());
     }
     // Every abort also leaves a resumable snapshot (cause = abort reason):
-    // the state is still at a clean step boundary — the unfused loops only
-    // break post-commit — so a later Resume picks up exactly here.
+    // the loop exit stripped any bids and flap edges of the step after, so
+    // the state is the end of the last completed step and a later Resume
+    // picks up exactly here.
     if (sink != nullptr) {
       save_checkpoint(result.stall_report->ReasonName());
     }

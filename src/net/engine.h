@@ -9,15 +9,11 @@
 // farthest remaining distance wins (ties broken by smaller packet id), which
 // is the paper's contention rule.
 //
-// Execution strategy — two byte-identical traversal modes:
-//
-//  * Dense sweep: every processor is visited each step.
-//
-//  * Sparse active set: when occupancy drops below
-//    EngineOptions::sparse_threshold, the engine iterates only over the
-//    set of processors holding in-flight packets (maintained
-//    incrementally) plus the one-hop halo that receives traffic, skipping
-//    the ~90% of the mesh that sits idle during drain phases.
+// Execution strategy — two byte-identical traversal modes: a dense sweep
+// visits every processor each step; below EngineOptions::sparse_threshold
+// occupancy a sparse pass visits only the processors holding in-flight
+// packets (maintained incrementally) plus the one-hop halo that receives
+// traffic, skipping the ~90% of the mesh that sits idle during drains.
 //
 // Delivery goes through a receiver-indexed mailbox: the bid pass appends
 // each winning packet to its worker's packet arena, writes a 4-byte handle
@@ -36,16 +32,20 @@
 // once per phase — with no mid-step barrier at all. The mailbox is
 // double-buffered by step parity (bids for step S write buffer S mod 2),
 // which makes the pipelined scatter safe: a neighbor's early bid for S+1
-// can never clobber an unconsumed step-S entry. Under an active
-// InvariantChecker the engine instead runs the plain two-phase step
-// (bid, CheckSlots, commit) so per-phase diagnostics keep their ordering.
+// can never clobber an unconsumed step-S entry. This is the only step
+// loop. A *clean* pass commits without bidding ahead, and the next step
+// then bids on its own: every step under an active InvariantChecker (whose
+// slot checks need the whole winner table between bid and commit), every
+// checkpoint step, and a step the run is known to end on.
 //
-// Both paths produce identical winner slots and identical queue contents
-// (including order) at every step, for any thread count — the contention
-// rule, extended-greedy order, and detour policy are shared code; only the
-// traversal differs. Per-step counters accumulate into per-worker scratch
-// arenas (no atomics, no per-step allocations) and are reduced by the
-// coordinator, which also keeps the reduction order fixed.
+// Both traversals produce identical winner slots and identical queue
+// contents (including order) at every step, for any thread count — the
+// contention rule, extended-greedy order, and detour policy are shared
+// code; only the traversal differs, and each directed link has a unique
+// writer, so the parallel update is race-free by construction. Per-step
+// counters accumulate into per-worker scratch arenas (no atomics, no
+// per-step allocations) and are reduced by the coordinator in a fixed
+// order.
 //
 // Fault injection (fault/fault_plan.h): when a FaultPlan is attached, a dead
 // directed link transmits nothing that step, and packets route around
@@ -61,27 +61,22 @@
 // fault-unaware one.
 //
 // Open-loop injection (workload/): when EngineOptions::injector is set,
-// Route runs a continuous-traffic loop instead of the one-shot drain — the
-// injector appends packets at the start of every step, delivered packets
-// are handed back through StepInjector::OnDeliver and retired so memory
-// stays bounded, and the run ends when the injector says so (see the
-// StepInjector contract below). Injector-driven runs use the unfused
-// two-phase step (newly injected processors merge into the sparse active
-// set between steps); with no injector configured, Route is byte-identical
-// to an engine without injection support.
-//
-// The engine is deterministic: identical inputs give identical step counts
-// and final placements regardless of thread count (each directed link has a
-// unique writer, so the parallel update is race-free by construction).
+// Route runs continuous traffic instead of the one-shot drain — the
+// injector appends packets every step, delivered packets are handed back
+// through StepInjector::OnDeliver and retired so memory stays bounded, and
+// the run ends when the injector says so (see the StepInjector contract
+// below). Injection rides the same pipeline: a pass sets its deliveries
+// aside per worker, and after OnDeliver the injected packets each bid late
+// against the current winner of their own outgoing link — the bids a full
+// re-bid of the queue would give. With no injector configured, Route is
+// byte-identical to an engine without injection support.
 //
 // Checkpoint/resume (net/engine_state.h, ckpt/): when
-// EngineOptions::checkpoint is set, the engine snapshots its full state at
-// clean step boundaries (on the sink's cadence and on every abort) and
+// EngineOptions::checkpoint is set, the engine snapshots its full state
+// after clean passes (on the sink's cadence and on every abort) and
 // Engine::Resume continues a run from such a snapshot, byte-identical to
-// the uninterrupted run. Checkpointing runs use the unfused two-phase step;
-// with no sink, Route is byte-identical to an engine without checkpoint
-// support and pays nothing. See the CheckpointSink contract in
-// net/engine_state.h.
+// the uninterrupted run. With no sink the pipeline never pauses and Route
+// pays nothing. See the CheckpointSink contract in net/engine_state.h.
 #pragma once
 
 #include <cstdint>
@@ -123,9 +118,9 @@ enum class InjectAction : std::uint8_t {
 /// Bernoulli driver). Attached via EngineOptions::injector.
 ///
 /// Contract:
-///  * Inject(step, out) runs once per step on the coordinator thread, before
-///    the step's bids; appended (source, packet) pairs enter the source
-///    queue immediately and may move that very step. The injector fills
+///  * Inject(step, out) runs once per step on the coordinator thread, after
+///    the previous step's OnDeliver calls; appended (source, packet) pairs
+///    enter the source queue immediately and bid in that very step. The injector fills
 ///    id/dest/klass (ids unique — they break contention ties); the engine
 ///    overwrites dist0/arrived/flags and stamps the injection step into
 ///    Packet::tag, so latency = arrived - tag + 1. Packets preloaded in the
@@ -142,11 +137,12 @@ enum class InjectAction : std::uint8_t {
 ///  * After Inject returns kDrain it is never called again and the engine
 ///    routes until the network drains (or the step cap); kStop ends the run
 ///    once the current step commits.
-///  * Injector-driven runs use the unfused two-phase step (dense or sparse
-///    per SparseMode — newly injected processors join the sparse active
-///    set) and bypass the InvariantChecker; results are identical for any
-///    thread count and sparse mode. When opts.step_cap is 0 the cap is
-///    effectively unbounded: the injector owns termination.
+///  * Injector-driven runs use the fused step loop (dense or sparse per
+///    SparseMode, decided after each step's injection — newly injected
+///    processors join the sparse commit set) and bypass the
+///    InvariantChecker; results are identical for any thread count and
+///    sparse mode. When opts.step_cap is 0 the cap is effectively
+///    unbounded: the injector owns termination.
 class StepInjector {
  public:
   virtual ~StepInjector() = default;
@@ -250,21 +246,19 @@ struct EngineOptions {
   FlightRecorder* recorder = nullptr;
 
   /// Optional checkpoint sink (contract in net/engine_state.h). When set,
-  /// the engine runs the unfused two-phase step loop (identical results,
-  /// pinned by the sparse/dense/fused equality tests), polls Due() after
-  /// every completed step, snapshots on demand, and emits a final snapshot
-  /// on watchdog/step-cap/SIGINT-SIGTERM aborts. The SIGINT/SIGTERM flag
-  /// is polled per step whenever a sink or a recorder is attached. Null
-  /// leaves the fused hot path byte-identical and untouched. Excluded from
-  /// HashEngineOptions like every observability hook — checkpointing never
-  /// changes results, so a checkpointed run can resume without a sink and
-  /// vice versa.
+  /// the engine polls Due() before every step, runs a due step as a clean
+  /// pass and snapshots it, and emits a final snapshot on
+  /// watchdog/step-cap/SIGINT-SIGTERM aborts. The SIGINT/SIGTERM flag is
+  /// polled per step whenever a sink or a recorder is attached. Null costs
+  /// nothing. Excluded from HashEngineOptions like every observability
+  /// hook — checkpointing never changes results, so a checkpointed run can
+  /// resume without a sink and vice versa.
   CheckpointSink* checkpoint = nullptr;
 
   /// Optional packet-journey tracer (obs/journey.h). When set, every Route
   /// records one compact event per step of every sampled packet's life —
   /// injection, each link crossed, each lost bid, each dead-link hold —
-  /// from both step loops (fused and unfused), and the epilogue attaches
+  /// and the epilogue attaches
   /// the finalized JourneyLog plus a CriticalPathReport to the
   /// RouteResult. Traces are byte-identical for any thread count and
   /// traversal mode (sampling is a pure function of packet id; events
@@ -333,14 +327,18 @@ class Engine {
     std::int64_t qmax = 0;
     std::vector<std::int64_t> dir_moves;  // 2d entries; empty without probe
     std::vector<ProcId> receivers;        // sparse bid output (reused)
+    /// Injector runs: the packets this worker's commits delivered, in
+    /// processor then queue order; the coordinator hands them to OnDeliver
+    /// in shard order and clears the buffer.
+    std::vector<Packet> delivered;
     /// This worker's bid winners by mailbox parity; mailbox handles index
     /// into them. Cleared by the coordinator before the pass that refills
     /// that parity, so they hold only one step's bids.
     std::vector<Packet> arena[2];
     std::uint32_t shard = 0;  // index in scratch_: a handle's low bits
     /// Journey-event buffer (empty without a tracer): workers append here
-    /// during bid/commit; the coordinator drains it into the tracer after
-    /// each step's reduction. NOT cleared by the per-step scratch reset.
+    /// during bid/commit (late bids use worker 0's); the coordinator drains
+    /// it after each step's reduction. NOT cleared by the scratch reset.
     std::vector<JourneyEvent> events;
   };
 
@@ -357,32 +355,37 @@ class Engine {
   void BidProc(PacketQueue* queues, ProcId p, std::int64_t step, int parity,
                WorkerScratch* s);
 
+  /// The hop `pkt` bids for at the processor with coordinates `cp` and
+  /// link base `base` on `step`: (dim, dir), dim = -1 when every outgoing
+  /// link is dead, and the farthest-first priority. Faulted runs also set
+  /// the packet's kDetour and lock bits; for a given step that is
+  /// idempotent, so a priority can be re-derived after the bid.
+  template <bool kFaults>
+  std::int64_t Hop(const std::int32_t* cp, std::size_t base, Packet& pkt,
+                   std::int64_t step, int& dim, int& dir) const;
+
   /// Appends `pkt` to worker `s`'s arena for `parity` and writes its handle
   /// and presence byte into entry `e` of receiver `r`'s mailbox row.
   void Post(WorkerScratch* s, int parity, std::size_t r, std::size_t e,
             const Packet& pkt);
 
-  template <bool kFaults, bool kRecordSlots>
-  void StepPhaseA(PacketQueue* queues, std::int64_t step, int parity,
-                  std::int64_t begin, std::int64_t end, WorkerScratch* s);
+  /// Coordinator-side bid for the packet just appended to queues[p] after
+  /// p's bids for `step` were posted. It meets only its own link's current
+  /// winner (and may overwrite that winner's arena slot), claims a free
+  /// link with a new entry in worker 0's arena, or records one lost-bid
+  /// wait: a full re-bid's outcome. Returns a new entry's receiver, else -1.
+  template <bool kFaults>
+  ProcId BidLate(PacketQueue* queues, ProcId p, std::int64_t step);
 
   /// Delivery for one processor, fully local: compacts the stayers of
   /// queues[p] in place and appends the incomers named by p's own mailbox
   /// row in buffer `parity` (consuming the presence bytes), accumulating
-  /// counters into `s`. Returns true if the queue still holds an in-flight
-  /// packet (active-set maintenance).
+  /// counters into `s`. With `retire`, delivered incomers go to
+  /// s.delivered instead of the queue (s.qmax still counts them). Returns
+  /// true if the queue still holds an in-flight packet (active-set
+  /// maintenance).
   bool CommitProc(PacketQueue* queues, ProcId p, std::int32_t now,
-                  bool count_dirs, int parity, WorkerScratch& s);
-
-  // Unfused two-phase steps: bid, (CheckSlots), commit. Used under an
-  // active InvariantChecker — which needs the full winner table between
-  // the phases — and, with checker == nullptr, by injector-driven runs,
-  // where the per-step injection and delivery retirement need a clean
-  // step boundary. The fused pipeline lives in Route itself.
-  void DenseStep(Network& net, std::int64_t step, std::int32_t now,
-                 bool count_dirs, InvariantChecker* checker);
-  void SparseStep(Network& net, std::int64_t step, std::int32_t now,
-                  bool count_dirs, InvariantChecker* checker);
+                  bool count_dirs, bool retire, int parity, WorkerScratch& s);
 
   /// Scans the network for processors holding in-flight packets.
   void RebuildActiveSet(Network& net);
@@ -417,9 +420,9 @@ class Engine {
   std::vector<std::uint8_t> in_mask_;
   std::size_t mask_stride_ = 0;
   int shard_bits_ = 0;
-  // Set when a Route call aborts (step cap / watchdog) with the pipeline's
-  // speculative next-step bids already scattered; the next Route clears the
-  // mask instead of every call paying for it.
+  // Set when a Route call ends with the pipeline's speculative next-step
+  // bids already scattered (watchdog, or an interrupt caught mid-pass); the
+  // next Route clears the mask instead of every call paying for it.
   bool mailbox_dirty_ = false;
 
   std::vector<WorkerScratch> scratch_;      // one per pool worker

@@ -88,21 +88,21 @@ struct EngineCheckpointState {
 /// calls both methods from the coordinator thread only.
 ///
 /// Contract:
-///  * Due(step) is polled once after every completed step; returning true
-///    makes the engine snapshot its state and call Save(state, "cadence").
-///    Due decides the cadence (step count, wall clock, or both) — the
-///    engine imposes none.
+///  * Due(step) is polled once before every step's pass; returning true
+///    makes that pass commit without bidding ahead, and once the step
+///    completes the engine snapshots its state and calls Save(state,
+///    "cadence") — unless the run ends at that step. Due decides the
+///    cadence (step count, wall clock, or both) — the engine imposes none.
 ///  * Save(state, cause) also fires on every abort path — watchdog stall,
 ///    step cap, SIGINT/SIGTERM — with `cause` naming the abort reason, so
 ///    an interrupted campaign always leaves a resumable snapshot alongside
 ///    the flight-recorder dump. A run that completes or stops on an
 ///    injector kStop verdict does not checkpoint (there is nothing left to
 ///    resume).
-///  * Attaching a sink forces the unfused two-phase step loop (checkpoints
-///    need a clean boundary the fused commit/bid pipeline never exposes)
-///    but must not change results: unfused and fused are byte-identical by
-///    the PR 3 equality contract. With no sink the fused hot path is
-///    untouched — checkpointing disabled costs nothing.
+///  * Attaching a sink must not change results. A due step differs only in
+///    that the next step's bids run after the snapshot instead of inside
+///    the commit pass, and the bids are the same either way; steps that
+///    are not due keep the pipelined pass.
 ///  * Save must not mutate the engine or the network; it sees a const
 ///    snapshot and typically serializes it (ckpt::CheckpointManager writes
 ///    a versioned, CRC-checksummed file via an atomic rename and rotates
@@ -111,7 +111,7 @@ class CheckpointSink {
  public:
   virtual ~CheckpointSink() = default;
 
-  /// Cadence poll, once per completed step. Cheap: called on the hot loop's
+  /// Cadence poll, once before every step. Cheap: called on the hot loop's
   /// coordinator (but only when a sink is attached at all).
   virtual bool Due(std::int64_t step) = 0;
 

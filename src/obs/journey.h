@@ -1,6 +1,6 @@
 // Packet-journey tracing: an opt-in, deterministically sampled per-packet
-// hop log recorded by the routing engine from both of its step loops
-// (fused pipeline, unfused two-phase step).
+// hop log recorded by the routing engine's step loop (commits record moves,
+// bids record waits, injection records entries).
 //
 // Suel's step bounds are statements about the worst-case *packet*, but the
 // aggregate observability layers (spans, congestion counters, flight

@@ -1,6 +1,7 @@
 // Streaming statistics accumulators used by the metrics and bench layers.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -44,6 +45,12 @@ class Histogram {
   explicit Histogram(std::size_t size) : buckets_(size, 0) {}
 
   void Add(std::int64_t value);
+  /// Empties every bucket, keeping the allocation.
+  void Clear() {
+    std::fill(buckets_.begin(), buckets_.end(), 0);
+    total_ = 0;
+    overflow_ = 0;
+  }
   std::int64_t Count(std::size_t bucket) const { return buckets_.at(bucket); }
   std::int64_t total() const { return total_; }
   std::int64_t overflow() const { return overflow_; }

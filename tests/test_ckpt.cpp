@@ -164,8 +164,8 @@ void ExpectResumeMatchesBaseline(const MeshSpec& spec, const FaultPlan* plan,
     with_sink.result = engine.Route(net);
     with_sink.snapshot = OrderedSnapshot(net);
   }
-  // Checkpointing must be invisible in the results (it only forces the
-  // unfused loop, which is byte-identical to the fused one).
+  // Checkpointing must be invisible in the results (a due step commits
+  // without bidding ahead, and the next step bids on its own).
   ExpectSameRun(with_sink, baseline);
   ASSERT_EQ(sink.states().size(), at.size());
 

@@ -211,9 +211,10 @@ TEST(SparseVsDenseTest, ThresholdExtremes) {
 }
 
 TEST(SparseVsDenseTest, CheckerPathMatchesFusedPipeline) {
-  // InvariantMode::kOn forces the unfused two-phase step (bid, CheckSlots,
-  // commit); kOff runs the fused pipeline. Same results either way — with
-  // the per-step invariant checker validating the sparse run as it goes.
+  // InvariantMode::kOn makes every pass clean (bid, CheckSlots, commit,
+  // CheckStep); kOff pipelines each commit with the next step's bid. Same
+  // results either way — with the per-step invariant checker validating
+  // the sparse run as it goes.
   Topology topo(3, 5, Wrap::kMesh);
   Rng rng(23);
   Network net(topo);

@@ -1,10 +1,11 @@
-// Packet-journey tracing (obs/journey.h) against the engine's three step
-// paths. The contracts pinned here are the subsystem's reason to exist:
+// Packet-journey tracing (obs/journey.h) against the engine's step loop.
+// The contracts pinned here are the subsystem's reason to exist:
 //
 //   * the critical-path identity, exactly: for every complete delivered
 //     journey, delivery_step - injection_step = moves + waits;
 //   * byte-identical JourneyLogs for any thread count, both traversal
-//     modes (sparse vs dense), fused vs unfused step loops, and under
+//     modes (sparse vs dense), pipelined vs clean passes (the checker
+//     makes every pass clean: commit only, then a separate bid), and under
 //     fault plans;
 //   * deterministic sampling: a pure function of (id, seed, watch);
 //   * tracing disabled or enabled never perturbs the run itself.
@@ -216,8 +217,9 @@ TEST(JourneyTrace, ByteIdenticalAcrossThreadCountsLayoutsAndModes) {
       {"sparse", SparseMode::kAlways, false, InvariantMode::kOff},
       {"pooled", SparseMode::kNever, true, InvariantMode::kOff},
       {"sparse pooled", SparseMode::kAlways, true, InvariantMode::kOff},
-      {"unfused (checker on)", SparseMode::kNever, false, InvariantMode::kOn},
-      {"sparse unfused pooled (checker on)", SparseMode::kAlways, true,
+      {"clean passes (checker on)", SparseMode::kNever, false,
+       InvariantMode::kOn},
+      {"sparse clean passes pooled (checker on)", SparseMode::kAlways, true,
        InvariantMode::kOn},
   };
   for (const Variant& v : variants) {
