@@ -421,19 +421,27 @@ TEST(CkptInjectorResumeTest, Torus2DFaultedThreadedDrain) {
                               &kFaultedTorusPin);
 }
 
-/// Forwards to an OpenLoopInjector and raises the SIGINT/SIGTERM flag from
-/// inside Inject at one step, as a signal landing mid-run would.
+/// Forwards to an OpenLoopInjector and raises the SIGINT/SIGTERM flag at
+/// step `at`, as a signal landing mid-run would: from inside Inject, before
+/// the step's pass, or with `in_deliver` from the step's first delivery of
+/// a packet that crossed a link (zero-hop packets are handed back at
+/// injection, before the pass), after a pass that has already bid the next
+/// step and applied its flap edges.
 class InterruptingInjector final : public StepInjector {
  public:
-  InterruptingInjector(OpenLoopInjector* inner, std::int64_t at)
-      : inner_(inner), at_(at) {}
+  InterruptingInjector(OpenLoopInjector* inner, std::int64_t at,
+                       bool in_deliver)
+      : inner_(inner), at_(at), in_deliver_(in_deliver) {}
 
   InjectAction Inject(std::int64_t step,
                       std::vector<std::pair<ProcId, Packet>>* out) override {
-    if (step == at_) FlightRecorder::RequestInterrupt();
+    if (!in_deliver_ && step == at_) FlightRecorder::RequestInterrupt();
     return inner_->Inject(step, out);
   }
   void OnDeliver(const Packet& pkt, std::int64_t step) override {
+    if (in_deliver_ && step == at_ && pkt.arrived == step) {
+      FlightRecorder::RequestInterrupt();
+    }
     inner_->OnDeliver(pkt, step);
   }
   void SaveState(std::vector<std::uint8_t>* out) const override {
@@ -446,9 +454,13 @@ class InterruptingInjector final : public StepInjector {
  private:
   OpenLoopInjector* inner_;
   std::int64_t at_;
+  bool in_deliver_;
 };
 
-TEST(CkptInjectorResumeTest, InterruptMidMeasureResumesAtAnyWorkerCount) {
+/// Interrupts the faulted torus run at step `at` (after a cadence save at
+/// 30), then resumes the interrupt snapshot serially and with four workers;
+/// both must finish as the uninterrupted pinned run did.
+void ExpectInterruptedRunResumes(std::int64_t at, bool in_deliver) {
   const Topology topo = kFaultedTorus.Build();
   const FaultPlan plan = InjectorDetourPlan(topo);
   TrafficPattern pattern(topo, PatternKind::kUniform, 5);
@@ -460,10 +472,8 @@ TEST(CkptInjectorResumeTest, InterruptMidMeasureResumesAtAnyWorkerCount) {
   const WorkloadResult baseline =
       RunPinned(topo, pattern, dopts, eopts, kFaultedTorusPin);
 
-  // Interrupted at step 90 (mid-measure), after a cadence save at 30.
-  constexpr std::int64_t kAt = 90;
   OpenLoopInjector inner(topo, pattern, dopts);
-  InterruptingInjector injector(&inner, kAt);
+  InterruptingInjector injector(&inner, at, in_deliver);
   CaptureSink sink({30});
   EngineOptions iopts = eopts;
   iopts.injector = &injector;
@@ -474,12 +484,18 @@ TEST(CkptInjectorResumeTest, InterruptMidMeasureResumesAtAnyWorkerCount) {
   EXPECT_FALSE(r.completed);
   ASSERT_NE(r.stall_report, nullptr);
   EXPECT_EQ(r.stall_report->reason, StallReason::kInterrupt);
-  EXPECT_EQ(r.steps, kAt);
+  EXPECT_EQ(r.steps, at);
   EXPECT_FALSE(FlightRecorder::InterruptRequested());
   ASSERT_EQ(sink.causes(), (std::vector<std::string>{"cadence", "interrupt"}));
   const EngineCheckpointState& state = sink.states()[1];
-  EXPECT_EQ(state.step, kAt);
-  EXPECT_GT(state.fault_cursor, 0u);
+  EXPECT_EQ(state.step, at);
+  // The snapshot's fault cursor covers exactly the flap edges of steps
+  // <= at, never the next step's.
+  std::uint64_t want_cursor = 0;
+  for (const FaultPlan::FlapEvent& ev : plan.Events()) {
+    if (ev.step <= at) ++want_cursor;
+  }
+  EXPECT_EQ(state.fault_cursor, want_cursor);
 
   for (unsigned workers : {0u, 4u}) {
     SCOPED_TRACE("resume with workers=" + std::to_string(workers));
@@ -490,6 +506,15 @@ TEST(CkptInjectorResumeTest, InterruptMidMeasureResumesAtAnyWorkerCount) {
         RunOpenLoop(topo, pattern, dopts, ropts, &state);
     ExpectSameWorkload(resumed, baseline);
   }
+}
+
+TEST(CkptInjectorResumeTest, InterruptMidMeasureResumesAtAnyWorkerCount) {
+  ExpectInterruptedRunResumes(90, /*in_deliver=*/false);
+}
+
+TEST(CkptInjectorResumeTest, InterruptAfterPassRewindsTheNextStepsFlaps) {
+  // Raised during step 95's deliveries: the next step, 96, starts a flap.
+  ExpectInterruptedRunResumes(95, /*in_deliver=*/true);
 }
 
 // ---------------------------------------------------------------------------
