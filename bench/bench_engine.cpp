@@ -204,12 +204,13 @@ WallRecord RunDrainPartial(const MeshSpec& spec, const std::string& mode,
 }
 
 /// --mega: a 2D n=4096 mesh (16.7M processors) carrying a *partial*
-/// workload of 16384 random packets. The footprint is the Network's queue
-/// directory (216 bytes per processor) plus the engine's O(N) tables:
-/// coordinates, neighbors, and the parity mailbox at 4-byte handles and
-/// presence bytes per directed link — a mailbox of whole packets would
-/// have been 2 x N x 2d x 48 bytes, 6 GiB on its own. The record carries
-/// an RSS guard: the run must fit in 6 GiB.
+/// workload of 16384 random packets. Queue storage grows with the occupied
+/// processors: an 8-byte directory slot per processor plus one pooled
+/// queue block per occupied processor. The rest of the footprint is the
+/// engine's O(N) tables: coordinates and the parity mailbox at 4-byte
+/// handles and presence bytes per directed link — a mailbox of whole
+/// packets would have been 2 x N x 2d x 48 bytes, 6 GiB on its own. The
+/// record carries an RSS guard: the run must fit in 6 GiB.
 WallRecord RunMegaPartial() {
   const MeshSpec spec{2, 4096, Wrap::kMesh};
   const std::int64_t kPackets = 16384;

@@ -16,7 +16,11 @@ Sequence:
                number of checkpoint generations (2-6) exist, then SIGKILL —
                waiting for files rather than sleeping makes the drill
                timing-proof on slow CI machines and guarantees a valid
-               checkpoint exists at kill time
+               checkpoint exists at kill time. The default victim (3D n=16)
+               spends tens of milliseconds per generation, so the poll
+               lands on its target generation while the run is still going;
+               a victim that exits before the SIGKILL lands fails the drill,
+               since it never exercised the kill path
   3. optional (--corrupt-newest): flip a byte in the newest generation so
      the resume must fall back past it (exercises LoadNewestValid)
   4. resume:   --checkpoint=DIR --resume, record delivery_hash
@@ -31,7 +35,7 @@ artifact upload instead.
 
 Usage:
     crash_drill.py [--binary BUILD/examples/workload_demo]
-                   [--d 2 --n 8 --warmup 50 --measure 300 --rate-pm 100]
+                   [--d 3 --n 16 --warmup 50 --measure 300 --rate-pm 100]
                    [--every 25] [--seed 1] [--corrupt-newest]
 """
 
@@ -91,8 +95,8 @@ def main():
         ),
         help="workload_demo binary (default: ../build/examples/)",
     )
-    ap.add_argument("--d", type=int, default=2)
-    ap.add_argument("--n", type=int, default=8)
+    ap.add_argument("--d", type=int, default=3)
+    ap.add_argument("--n", type=int, default=16)
     ap.add_argument("--warmup", type=int, default=50)
     ap.add_argument("--measure", type=int, default=300)
     ap.add_argument("--rate-pm", type=int, default=100,
@@ -155,11 +159,9 @@ def main():
         victim_cmd, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
     )
     deadline = time.monotonic() + args.timeout
-    killed = False
     while victim.poll() is None:
         if len(count_checkpoints(ckpt_dir)) >= target:
             victim.kill()  # SIGKILL: no cleanup, no flush, mid-anything
-            killed = True
             break
         if time.monotonic() > deadline:
             victim.kill()
@@ -167,19 +169,23 @@ def main():
                 f"victim produced {len(count_checkpoints(ckpt_dir))} "
                 f"checkpoint(s) in {args.timeout}s, wanted {target}"
             )
-        time.sleep(0.01)
+        time.sleep(0.002)
     victim.wait()
     files = count_checkpoints(ckpt_dir)
-    if not killed:
-        # The run outraced the poll loop. Any surviving checkpoint still
-        # proves resume correctness, so continue — but say so.
-        print("victim finished before the kill; resuming from its last "
-              "checkpoint instead")
+    # Only a SIGKILL that found the victim running exercises the crash
+    # path; a victim that outraced the poll (or exited just before the
+    # kill) ends with its own exit status instead.
+    if victim.returncode != -signal.SIGKILL:
+        sys.exit(
+            f"FAIL: victim exited on its own (exit status "
+            f"{victim.returncode}) with {len(files)} generation(s) on disk "
+            f"before the SIGKILL landed; make the run longer (--n, "
+            f"--measure) so the kill lands mid-run"
+        )
     if not files:
         sys.exit("victim left no checkpoint files")
     print(f"victim killed (signal {-victim.returncode}); "
-          f"{len(files)} generation(s) on disk: {', '.join(files)}"
-          if killed else f"{len(files)} generation(s) on disk")
+          f"{len(files)} generation(s) on disk: {', '.join(files)}")
 
     # 3. Optionally corrupt the newest generation.
     if args.corrupt_newest:

@@ -89,8 +89,7 @@ Engine::Engine(const Topology& topo, EngineOptions opts)
   const std::size_t shards = std::max<std::size_t>(1, opts_.pool->workers());
   shard_bits_ = static_cast<int>(std::bit_width(shards - 1));
   // A handle packs (arena index << shard_bits_) | shard into 32 bits, and
-  // one step's bids number at most one per directed link. The bound also
-  // keeps every processor id inside the 32-bit neighbor table.
+  // one step's bids number at most one per directed link.
   if ((std::uint64_t{procs} * links << shard_bits_) >
       (std::uint64_t{1} << 32)) {
     throw std::invalid_argument(
@@ -98,6 +97,15 @@ Engine::Engine(const Topology& topo, EngineOptions opts)
   }
   mask_stride_ = (links + 7) / 8 * 8;
   coords_ = topo.BuildCoordTable();
+  // A mesh has no wrap: its edge coordinate -1 never matches.
+  const bool torus = topo.torus();
+  std::size_t stride = 1;
+  for (std::size_t dim = 0; dim < static_cast<std::size_t>(d_); ++dim) {
+    const std::size_t wrap = static_cast<std::size_t>(n_ - 1) * stride;
+    link_step_[2 * dim] = {0 - stride, wrap, torus ? 0 : -1};
+    link_step_[2 * dim + 1] = {stride, 0 - wrap, torus ? n_ - 1 : -1};
+    stride *= static_cast<std::size_t>(n_);
+  }
   if (opts_.injector == nullptr && InvariantsEnabled(opts_.invariants)) {
     slot_.resize(procs * links);  // only the checker reads winner slots
   }
@@ -105,18 +113,6 @@ Engine::Engine(const Topology& topo, EngineOptions opts)
   // rows, both sized 2 x N x row.
   in_hdl_.resize(2 * procs * links);
   in_mask_.assign(2 * procs * mask_stride_, 0);
-  // Flat neighbor table: the bid and commit hot loops probe links with one
-  // load instead of re-deriving coordinates per hop.
-  nbr_.resize(procs * links);
-  for (ProcId p = 0; p < topo.size(); ++p) {
-    const std::size_t base = static_cast<std::size_t>(p) * links;
-    for (int dim = 0; dim < d_; ++dim) {
-      for (int dir = 0; dir < 2; ++dir) {
-        nbr_[base + static_cast<std::size_t>(dim * 2 + dir)] =
-            static_cast<std::int32_t>(topo.Neighbor(p, dim, dir));
-      }
-    }
-  }
   manifest_ = std::make_shared<const RunManifest>(MakeRunManifest(topo, opts_));
   if (opts_.faults != nullptr && !opts_.faults->empty()) {
     const Topology& ft = opts_.faults->topo();
@@ -160,12 +156,13 @@ inline std::int64_t Engine::Hop(const std::int32_t* cp,
   }
   if constexpr (kFaults) {
     bool is_detour = false;
-    // Boundary links (mesh) are filtered by the neighbor-table check; the
-    // dead mask only covers existing links.
-    const std::int32_t* nbr = &nbr_[base];
+    // Mesh boundary links do not exist: the coordinate row filters them
+    // (the dead mask only covers existing links).
     const std::uint8_t* dead = &link_dead_[base];
-    const auto alive = [nbr, dead](int di, int dr) {
-      return dead[di * 2 + dr] == 0 && nbr[di * 2 + dr] >= 0;
+    const int last = n_ - 1;
+    const auto alive = [cp, dead, torus, last](int di, int dr) {
+      return dead[di * 2 + dr] == 0 &&
+             (torus || cp[di] != (dr != 0 ? last : 0));
     };
     const std::int64_t rem =
         NextHopFaulted(cp, dc, d_, n_, torus, pkt.klass, pkt.id, pkt.flags,
@@ -182,12 +179,12 @@ inline std::int64_t Engine::Hop(const std::int32_t* cp,
 }
 
 template <bool kFaults, bool kSparse, bool kRecordSlots>
-void Engine::BidProc(PacketQueue* queues, ProcId p, std::int64_t step,
+void Engine::BidProc(PacketQueue* const* slots, ProcId p, std::int64_t step,
                      int parity, WorkerScratch* s) {
   const auto links = static_cast<std::size_t>(2 * d_);
   const std::size_t base = static_cast<std::size_t>(p) * links;
-  auto& q = queues[static_cast<std::size_t>(p)];
-  if (q.empty()) {
+  PacketQueue* const qp = slots[static_cast<std::size_t>(p)];
+  if (qp == nullptr || qp->empty()) {
     if constexpr (kRecordSlots && !kSparse) {
       // Dense CheckSlots scans every row, so even an idle processor's row
       // must be clean. (The sparse path only ever bids active processors.)
@@ -195,6 +192,7 @@ void Engine::BidProc(PacketQueue* queues, ProcId p, std::int64_t step,
     }
     return;
   }
+  PacketQueue& q = *qp;
   // Winner selection is stack-local: the slot table is only published for
   // the checker's CheckSlots pass — nothing else ever reads a foreign row,
   // so the hot path keeps selection out of shared memory entirely. A bid
@@ -232,7 +230,7 @@ void Engine::BidProc(PacketQueue* queues, ProcId p, std::int64_t step,
         slot_[base + l] = 0;
       }
       pkt.flags |= Packet::kMoving;
-      const auto r = static_cast<std::size_t>(nbr_[base + l]);
+      const std::size_t r = Receiver(static_cast<std::size_t>(p), cp, l);
       Post(s, parity, r, l ^ 1, pkt);
       if constexpr (kSparse) {
         s->receivers.push_back(static_cast<ProcId>(r));
@@ -297,8 +295,8 @@ void Engine::BidProc(PacketQueue* queues, ProcId p, std::int64_t step,
     // indexed by the direction the receiver sees us in. Each directed
     // link has exactly one possible writer, so the scatter is race-free.
     // (Boundary links never win: NextHop never points off the mesh and
-    // the faulted policy checks nbr >= 0.)
-    const auto r = static_cast<std::size_t>(nbr_[base + l]);
+    // the faulted policy's alive check filters them.)
+    const std::size_t r = Receiver(static_cast<std::size_t>(p), cp, l);
     Post(s, parity, r, l ^ 1, pkt);
     if constexpr (kSparse) {
       // The receiver joins the commit set for `step`.
@@ -308,10 +306,10 @@ void Engine::BidProc(PacketQueue* queues, ProcId p, std::int64_t step,
 }
 
 template <bool kFaults>
-ProcId Engine::BidLate(PacketQueue* queues, ProcId p, std::int64_t step) {
+ProcId Engine::BidLate(PacketQueue* const* slots, ProcId p, std::int64_t step) {
   const auto links = static_cast<std::size_t>(2 * d_);
   const std::size_t base = static_cast<std::size_t>(p) * links;
-  auto& q = queues[static_cast<std::size_t>(p)];
+  PacketQueue& q = *slots[static_cast<std::size_t>(p)];
   Packet& pkt = q[q.size() - 1];
   const std::int32_t* cp =
       &coords_[static_cast<std::size_t>(p) * static_cast<std::size_t>(d_)];
@@ -326,7 +324,7 @@ ProcId Engine::BidLate(PacketQueue* queues, ProcId p, std::int64_t step) {
     return -1;
   }
   const auto l = static_cast<std::size_t>(dim * 2 + dir);
-  const auto r = static_cast<std::size_t>(nbr_[base + l]);
+  const std::size_t r = Receiver(static_cast<std::size_t>(p), cp, l);
   const int parity = static_cast<int>(step & 1);
   const auto par = static_cast<std::size_t>(parity);
   if (in_mask_[par * (in_mask_.size() / 2) + r * mask_stride_ + (l ^ 1)] == 0) {
@@ -360,32 +358,36 @@ ProcId Engine::BidLate(PacketQueue* queues, ProcId p, std::int64_t step) {
   return -1;
 }
 
-bool Engine::CommitProc(PacketQueue* queues, ProcId p, std::int32_t now,
-                        bool count_dirs, bool retire, int parity,
+bool Engine::CommitProc(PacketQueue** slots, ProcId p, std::int32_t now,
+                        bool count_dirs, bool retire, bool hold, int parity,
                         WorkerScratch& s) {
   const auto links = static_cast<std::size_t>(2 * d_);
-  auto& q = queues[static_cast<std::size_t>(p)];
+  PacketQueue*& slot = slots[static_cast<std::size_t>(p)];
+  PacketQueue* q = slot;
   bool inflight = false;
   std::size_t retired = 0;
-  // Stayers: compact everything not selected to move out, preserving order
-  // (equivalent to the stayers-first rebuild of a fresh queue).
-  std::size_t w = 0;
-  const std::size_t sz = q.size();
-  for (std::size_t i = 0; i < sz; ++i) {
-    if ((q[i].flags & Packet::kMoving) == 0) {
-      if (w != i) q[w] = q[i];
-      if (q[i].arrived < 0) {
-        inflight = true;
-        // The fused bid that follows needs this stayer's destination
-        // coordinates — a random access; start the load now.
-        __builtin_prefetch(
-            &coords_[static_cast<std::size_t>(q[i].dest) *
-                     static_cast<std::size_t>(d_)]);
+  if (q != nullptr) {
+    // Stayers: compact everything not selected to move out, preserving
+    // order (equivalent to the stayers-first rebuild of a fresh queue).
+    std::size_t w = 0;
+    const std::size_t sz = q->size();
+    for (std::size_t i = 0; i < sz; ++i) {
+      Packet& pkt = (*q)[i];
+      if ((pkt.flags & Packet::kMoving) == 0) {
+        if (pkt.arrived < 0) {
+          inflight = true;
+          // The fused bid that follows needs this stayer's destination
+          // coordinates — a random access; start the load now.
+          __builtin_prefetch(
+              &coords_[static_cast<std::size_t>(pkt.dest) *
+                       static_cast<std::size_t>(d_)]);
+        }
+        if (w != i) (*q)[w] = pkt;
+        ++w;
       }
-      ++w;
     }
+    q->resize(w);
   }
-  q.resize(w);
   // Incomers: one per directed in-link, consumed through p's own mailbox
   // row in canonical (dim, dir) order. Everything written here is p-local;
   // the bidders' arenas are only read. The padded presence row collapses
@@ -464,20 +466,41 @@ bool Engine::CommitProc(PacketQueue* queues, ProcId p, std::int32_t now,
         ++retired;
         continue;
       }
-      q.push_back(pkt);
+      if (q == nullptr) {
+        q = s.lane->Take();
+        slot = q;
+      }
+      q->push_back(pkt);
+    }
+  }
+  std::size_t size = 0;
+  if (q != nullptr) {
+    size = q->size();
+    // An empty queue's block goes back to this worker's lane, so storage
+    // follows the occupied processors — unless the pass holds blocks (see
+    // the pass loop).
+    if (size == 0 && !hold) {
+      s.lane->Give(q);
+      slot = nullptr;
     }
   }
   s.qmax = std::max<std::int64_t>(s.qmax,
-                                  static_cast<std::int64_t>(q.size() + retired));
+                                  static_cast<std::int64_t>(size + retired));
   return inflight;
 }
 
-void Engine::RebuildActiveSet(Network& net) {
+void Engine::RebuildActiveSet(PacketQueue** slots, QueueLane& lane) {
   const ProcId N = topo_->size();
   active_.clear();
-  const auto& queues = net.queues();
   for (ProcId p = 0; p < N; ++p) {
-    for (const Packet& pkt : queues[static_cast<std::size_t>(p)]) {
+    PacketQueue* const q = slots[static_cast<std::size_t>(p)];
+    if (q == nullptr) continue;
+    if (q->empty()) {
+      lane.Give(q);
+      slots[static_cast<std::size_t>(p)] = nullptr;
+      continue;
+    }
+    for (const Packet& pkt : *q) {
       if (pkt.arrived < 0) {
         active_.push_back(p);
         break;
@@ -486,33 +509,30 @@ void Engine::RebuildActiveSet(Network& net) {
   }
 }
 
-void Engine::RebuildTouched(Network& net, int parity) {
+void Engine::RebuildTouched(PacketQueue** slots, QueueLane& lane,
+                            int parity) {
   const ProcId N = topo_->size();
   touched_.clear();
-  const auto& queues = net.queues();
-  const std::uint8_t* const mask =
-      in_mask_.data() + static_cast<std::size_t>(parity) * (in_mask_.size() / 2);
   for (ProcId p = 0; p < N; ++p) {
     bool t = false;
     // In-flight packets include next step's movers (still queued, kMoving):
     // their sender must commit to drop them.
-    for (const Packet& pkt : queues[static_cast<std::size_t>(p)]) {
-      if (pkt.arrived < 0) {
-        t = true;
-        break;
+    if (PacketQueue* const q = slots[static_cast<std::size_t>(p)]) {
+      if (q->empty()) {
+        lane.Give(q);
+        slots[static_cast<std::size_t>(p)] = nullptr;
+      } else {
+        for (const Packet& pkt : *q) {
+          if (pkt.arrived < 0) {
+            t = true;
+            break;
+          }
+        }
       }
     }
-    if (!t) {
-      const std::uint8_t* mrow = mask + static_cast<std::size_t>(p) * mask_stride_;
-      std::uint64_t any = 0;
-      for (std::size_t i = 0; i < mask_stride_; i += 8) {
-        std::uint64_t word;
-        std::memcpy(&word, mrow + i, sizeof(word));
-        any |= word;
-      }
-      t = any != 0;
+    if (t || !MailboxRowEmpty(parity, static_cast<std::size_t>(p))) {
+      touched_.push_back(p);
     }
-    if (t) touched_.push_back(p);
   }
 }
 
@@ -600,10 +620,10 @@ RouteResult Engine::Resume(Network& net, const EngineCheckpointState& state) {
         "Engine::Resume: injector rejected its checkpoint state");
   }
   net.Clear();
-  auto& queues = net.queues();
   for (std::size_t p = 0; p < state.queues.size(); ++p) {
-    auto& q = queues[p];
-    for (const Packet& pkt : state.queues[p]) q.push_back(pkt);
+    for (const Packet& pkt : state.queues[p]) {
+      net.Add(static_cast<ProcId>(p), pkt);
+    }
   }
   return RouteInternal(net, &state);
 }
@@ -613,8 +633,11 @@ RouteResult Engine::RouteInternal(Network& net,
   RouteResult result;
   const ProcId N = topo_->size();
   const auto links = static_cast<std::size_t>(2 * d_);
-  auto& queues_vec = net.queues();
-  PacketQueue* const queues = queues_vec.data();
+  // The directory, and one pool lane per worker: a commit takes and gives
+  // blocks through its own worker's lane, the coordinator through lane 0.
+  PacketQueue** const slots = net.slots();
+  const std::size_t nshards = std::max<std::size_t>(1, opts_.pool->workers());
+  QueueLane* const lanes = net.BalanceLanes(nshards);
   // Journey tracing: one BeginRun per Route; events drain per step in
   // reduce_scratch and finalize in the epilogue.
   JourneyTracer* const jt = opts_.journeys;
@@ -628,9 +651,12 @@ RouteResult Engine::RouteInternal(Network& net,
   StepInjector* const injector = opts_.injector;
   std::int64_t in_flight = 0;  // packets not yet at their final destination
   if (resume == nullptr) {
-    result.max_queue = net.MaxQueue();
     for (ProcId p = 0; p < N; ++p) {
-      auto& q = queues[static_cast<std::size_t>(p)];
+      PacketQueue* const qp = slots[static_cast<std::size_t>(p)];
+      if (qp == nullptr) continue;
+      PacketQueue& q = *qp;
+      result.max_queue =
+          std::max(result.max_queue, static_cast<std::int64_t>(q.size()));
       std::size_t w = 0;
       for (std::size_t i = 0; i < q.size(); ++i) {
         Packet pkt = q[i];
@@ -669,6 +695,12 @@ RouteResult Engine::RouteInternal(Network& net,
         q[w++] = pkt;
       }
       q.resize(w);
+      if (w == 0) {
+        // Empty (an injector retired every preload, or a caller's At()
+        // left it so): from here on, only occupied processors hold blocks.
+        lanes[0].Give(qp);
+        slots[static_cast<std::size_t>(p)] = nullptr;
+      }
     }
   } else {
     in_flight = resume->in_flight;
@@ -682,6 +714,9 @@ RouteResult Engine::RouteInternal(Network& net,
                                     resume->overshoot_min, resume->overshoot_max);
     result.max_queue = resume->queue_max;
   }
+  // Blocks in processor order, so a nearly full mesh's dense sweep streams
+  // through them.
+  net.LayOutInOrder();
   // Directed links: 2d per processor on the torus; meshes lose the boundary
   // links (each dimension has 2*(n-1)*n^(d-1) directed links).
   result.links = topo_->torus()
@@ -763,10 +798,10 @@ RouteResult Engine::RouteInternal(Network& net,
   if (recorder != nullptr) recorder->set_manifest(*manifest_);
   const bool count_dirs = probe != nullptr || recorder != nullptr;
   const bool want_hist = probe != nullptr && probe->WantsQueueHistogram();
-  const std::size_t nshards = std::max<std::size_t>(1, opts_.pool->workers());
   if (scratch_.size() != nshards) scratch_.resize(nshards);
   for (std::size_t i = 0; i < nshards; ++i) {
     WorkerScratch& s = scratch_[i];
+    s.lane = &lanes[i];
     s.dir_moves.assign(count_dirs ? links : 0, 0);
     s.receivers.clear();
     s.delivered.clear();
@@ -920,8 +955,9 @@ RouteResult Engine::RouteInternal(Network& net,
       if (want_hist) {
         queue_hist.Clear();
         for (ProcId p = 0; p < N; ++p) {
-          queue_hist.Add(static_cast<std::int64_t>(
-              queues[static_cast<std::size_t>(p)].size()));
+          const PacketQueue* q = slots[static_cast<std::size_t>(p)];
+          queue_hist.Add(q != nullptr ? static_cast<std::int64_t>(q->size())
+                                      : 0);
         }
         snap.queue_hist = &queue_hist;
       }
@@ -980,8 +1016,9 @@ RouteResult Engine::RouteInternal(Network& net,
     st.fault_cursor = static_cast<std::uint64_t>(event_cursor);
     st.queues.resize(static_cast<std::size_t>(N));
     for (ProcId p = 0; p < N; ++p) {
-      const auto& q = queues[static_cast<std::size_t>(p)];
-      st.queues[static_cast<std::size_t>(p)].assign(q.begin(), q.end());
+      if (const PacketQueue* q = slots[static_cast<std::size_t>(p)]) {
+        st.queues[static_cast<std::size_t>(p)].assign(q->begin(), q->end());
+      }
     }
     if (injector != nullptr) injector->SaveState(&st.injector_state);
     sink->Save(st, cause);
@@ -1031,8 +1068,8 @@ RouteResult Engine::RouteInternal(Network& net,
   const auto bid_all = [&](std::int64_t at, bool sparse) {
     const int parity = static_cast<int>(at & 1);
     reset_scratch(parity);
-    using BidFn = void (Engine::*)(PacketQueue*, ProcId, std::int64_t, int,
-                                   WorkerScratch*);
+    using BidFn = void (Engine::*)(PacketQueue* const*, ProcId, std::int64_t,
+                                   int, WorkerScratch*);
     static constexpr BidFn kBid[2][2][2] = {  // [faults][sparse][slots]
         {{&Engine::BidProc<false, false, false>,
           &Engine::BidProc<false, false, true>},
@@ -1044,7 +1081,7 @@ RouteResult Engine::RouteInternal(Network& net,
           &Engine::BidProc<true, true, true>}}};
     const BidFn bid = kBid[have_faults][sparse][record_slots];
     if (sparse) {
-      if (!active_valid) RebuildActiveSet(net);
+      if (!active_valid) RebuildActiveSet(slots, lanes[0]);
       if (record_slots && !slots_clean_) {
         // CheckSlots scans every slot row, so entering sparse mode after
         // a dense bid must erase that bid's winners once; sparse steps
@@ -1058,7 +1095,7 @@ RouteResult Engine::RouteInternal(Network& net,
       opts_.pool->ParallelFor(na, [&](std::int64_t b, std::int64_t e) {
         WorkerScratch* const s = &scratch_[static_cast<std::size_t>(b / chunk)];
         for (std::int64_t i = b; i < e; ++i) {
-          (this->*bid)(queues, active_[static_cast<std::size_t>(i)], at,
+          (this->*bid)(slots, active_[static_cast<std::size_t>(i)], at,
                        parity, s);
         }
       });
@@ -1070,7 +1107,7 @@ RouteResult Engine::RouteInternal(Network& net,
           CeilDiv(N, static_cast<std::int64_t>(opts_.pool->ShardsFor(N)));
       opts_.pool->ParallelFor(N, [&](std::int64_t b, std::int64_t e) {
         WorkerScratch* const s = &scratch_[static_cast<std::size_t>(b / chunk)];
-        for (ProcId p = b; p < e; ++p) (this->*bid)(queues, p, at, parity, s);
+        for (ProcId p = b; p < e; ++p) (this->*bid)(slots, p, at, parity, s);
       });
       slots_clean_ = false;  // a dense checker bid wrote every row
     }
@@ -1113,10 +1150,12 @@ RouteResult Engine::RouteInternal(Network& net,
         continue;
       }
       pkt.arrived = -1;
-      queues[static_cast<std::size_t>(src)].push_back(pkt);
+      PacketQueue*& q = slots[static_cast<std::size_t>(src)];
+      if (q == nullptr) q = lanes[0].Take();
+      q->push_back(pkt);
       ++in_flight;
-      const ProcId r = have_faults ? BidLate<true>(queues, src, at)
-                                   : BidLate<false>(queues, src, at);
+      const ProcId r = have_faults ? BidLate<true>(slots, src, at)
+                                   : BidLate<false>(slots, src, at);
       if (marked) {
         mark(src);
         if (r >= 0) mark(r);
@@ -1130,13 +1169,14 @@ RouteResult Engine::RouteInternal(Network& net,
   // one bitmap scan when the bids were marked, else one O(N) scan on a
   // dense-to-sparse switch.
   bool cur_sparse = false;
+  bool holding = false;  // the last pass kept emptied blocks
   const auto plan_pass = [&](std::int64_t at) {
     cur_sparse = mode_for(in_flight - arrivals_total);
     if (marked) {
       scan_marks();
       marked = false;
     } else if (cur_sparse) {
-      RebuildTouched(net, static_cast<int>(at & 1));
+      RebuildTouched(slots, lanes[0], static_cast<int>(at & 1));
     }
   };
 
@@ -1175,6 +1215,21 @@ RouteResult Engine::RouteInternal(Network& net,
     const int bparity = cparity ^ 1;                 // bid buffer (S+1)
     const bool retire = injector != nullptr;
     reset_scratch(bparity);
+    net.BalanceLanes(nshards);
+    // A dense pass over a nearly full mesh keeps the blocks of queues it
+    // empties: most refill within a step or two, and recycling each one
+    // would scramble the processor order of the blocks the sweep streams
+    // through. It holds them only while the live blocks number at most
+    // twice the packets in the network, so storage stays bounded by twice
+    // the packets plus one step's emptied processors; the next dense pass
+    // past that bound gives every empty block back. Sparse passes never revisit an
+    // emptied processor, so they recycle at once, and the scan that
+    // switches to sparse (RebuildTouched, RebuildActiveSet) gives back
+    // what dense passes held.
+    const std::int64_t resident =
+        injector != nullptr ? in_flight - arrivals_total : result.packets;
+    const bool hold = !cur_sparse && net.blocks_live() <= 2 * resident;
+    holding = hold;
     std::int64_t nt = 0;
     if (cur_sparse) {
       ++result.sparse_steps;
@@ -1186,24 +1241,23 @@ RouteResult Engine::RouteInternal(Network& net,
         const std::size_t rows = static_cast<std::size_t>(N);
         opts_.pool->ParallelFor(nt, [&](std::int64_t b, std::int64_t e) {
           WorkerScratch& s = scratch_[static_cast<std::size_t>(b / chunk)];
-          // The pass is memory-latency-bound (queue rows, presence rows,
-          // destination coordinates are all strided or random). Process
-          // in small batches — prefetch every batch member, commit them
-          // all (the commit also prefetches each survivor's destination
+          // The pass is memory-latency-bound (directory slots, queue
+          // blocks, presence rows, destination coordinates are all strided
+          // or random). Process in small batches — prefetch every batch
+          // member's slot and rows, then its block, commit them all (the
+          // commit also prefetches each survivor's destination
           // coordinates), then bid them all — so the misses of ~16
           // independent processors are in flight at once instead of one
           // serial chain. Reordering is safe: a commit touches only its
-          // own queue and step-S rows, a bid writes only step-S+1 rows.
+          // own slot, block and step-S rows, a bid writes only step-S+1
+          // rows.
           constexpr std::int64_t kBatch = 16;
           for (std::int64_t i0 = b; i0 < e; i0 += kBatch) {
             const std::int64_t i1 = std::min(i0 + kBatch, e);
             for (std::int64_t i = i0; i < i1; ++i) {
               const auto pf = static_cast<std::size_t>(
                   touched_[static_cast<std::size_t>(i)]);
-              const char* const qp =
-                  reinterpret_cast<const char*>(&queues[pf]);
-              __builtin_prefetch(qp);
-              __builtin_prefetch(qp + 64);
+              __builtin_prefetch(&slots[pf]);
               __builtin_prefetch(
                   in_mask_.data() +
                   (static_cast<std::size_t>(cparity) * rows + pf) *
@@ -1213,9 +1267,14 @@ RouteResult Engine::RouteInternal(Network& net,
                   (static_cast<std::size_t>(cparity) * rows + pf) * links);
             }
             for (std::int64_t i = i0; i < i1; ++i) {
+              const PacketQueue* const q =
+                  slots[static_cast<std::size_t>(touched_[static_cast<std::size_t>(i)])];
+              if (q != nullptr) q->Prefetch();
+            }
+            for (std::int64_t i = i0; i < i1; ++i) {
               touched_inflight_[static_cast<std::size_t>(i)] =
-                  CommitProc(queues, touched_[static_cast<std::size_t>(i)],
-                             now, count_dirs, retire, cparity, s)
+                  CommitProc(slots, touched_[static_cast<std::size_t>(i)],
+                             now, count_dirs, retire, false, cparity, s)
                       ? 1
                       : 0;
             }
@@ -1224,10 +1283,10 @@ RouteResult Engine::RouteInternal(Network& net,
               if (touched_inflight_[static_cast<std::size_t>(i)] != 0) {
                 const ProcId p = touched_[static_cast<std::size_t>(i)];
                 if (have_faults) {
-                  BidProc<true, true, false>(queues, p, step + 1, bparity,
+                  BidProc<true, true, false>(slots, p, step + 1, bparity,
                                              &s);
                 } else {
-                  BidProc<false, true, false>(queues, p, step + 1, bparity,
+                  BidProc<false, true, false>(slots, p, step + 1, bparity,
                                               &s);
                 }
               }
@@ -1243,22 +1302,38 @@ RouteResult Engine::RouteInternal(Network& net,
         // Commit-then-bid in small batches, as in the sparse pass: the
         // sequential arrays stream well, but the batch gap gives the
         // commit's destination-coordinate prefetches time to land
-        // before the bids consume them.
+        // before the bids consume them. Blocks recycled since the last
+        // re-lay break processor order, so each batch also starts loading
+        // the next batch's blocks.
         constexpr std::int64_t kBatch = 16;
+        const auto prefetch_blocks = [slots](std::int64_t from,
+                                             std::int64_t to) {
+          for (std::int64_t p = from; p < to; ++p) {
+            const PacketQueue* const q = slots[static_cast<std::size_t>(p)];
+            if (q != nullptr) q->Prefetch();
+          }
+        };
+        prefetch_blocks(b, std::min(b + kBatch, e));
         for (std::int64_t p0 = b; p0 < e; p0 += kBatch) {
           const std::int64_t p1 = std::min(p0 + kBatch, e);
+          prefetch_blocks(p1, std::min(p1 + kBatch, e));
           bool infl[kBatch];
           for (ProcId p = p0; p < p1; ++p) {
-            infl[p - p0] = CommitProc(queues, p, now, count_dirs, retire,
-                                      cparity, s);
+            // At partial occupancy most processors hold and receive
+            // nothing: two loads decide that without a commit call.
+            infl[p - p0] =
+                (slots[static_cast<std::size_t>(p)] != nullptr ||
+                 !MailboxRowEmpty(cparity, static_cast<std::size_t>(p))) &&
+                CommitProc(slots, p, now, count_dirs, retire, hold, cparity,
+                           s);
           }
           if (clean) continue;
           for (ProcId p = p0; p < p1; ++p) {
             if (infl[p - p0]) {
               if (have_faults) {
-                BidProc<true, false, false>(queues, p, step + 1, bparity, &s);
+                BidProc<true, false, false>(slots, p, step + 1, bparity, &s);
               } else {
-                BidProc<false, false, false>(queues, p, step + 1, bparity, &s);
+                BidProc<false, false, false>(slots, p, step + 1, bparity, &s);
               }
             }
           }
@@ -1336,7 +1411,9 @@ RouteResult Engine::RouteInternal(Network& net,
     if (in_flight > arrivals_total) {
       mailbox_dirty_ = true;
       for (ProcId p = 0; p < N; ++p) {
-        for (Packet& pkt : queues[static_cast<std::size_t>(p)]) {
+        PacketQueue* const q = slots[static_cast<std::size_t>(p)];
+        if (q == nullptr) continue;
+        for (Packet& pkt : *q) {
           pkt.flags &= static_cast<std::uint16_t>(~Packet::kMoving);
         }
       }
@@ -1347,6 +1424,18 @@ RouteResult Engine::RouteInternal(Network& net,
       flap_count_[l] -= ev.delta;
       link_dead_[l] = (link_dead_perm_[l] != 0 || flap_count_[l] > 0) ? 1 : 0;
       --fault_events_total;
+    }
+  }
+
+  if (holding) {
+    // Give back the blocks the last dense passes kept empty: a Route leaves
+    // exactly one block per occupied processor.
+    for (ProcId p = 0; p < N; ++p) {
+      PacketQueue*& q = slots[static_cast<std::size_t>(p)];
+      if (q != nullptr && q->empty()) {
+        lanes[0].Give(q);
+        q = nullptr;
+      }
     }
   }
 
@@ -1383,7 +1472,9 @@ RouteResult Engine::RouteInternal(Network& net,
   // retirement instead (their final queues hold only undelivered packets).
   if (injector == nullptr) {
     for (ProcId p = 0; p < N; ++p) {
-      for (const Packet& pkt : queues[static_cast<std::size_t>(p)]) {
+      const PacketQueue* const q = slots[static_cast<std::size_t>(p)];
+      if (q == nullptr) continue;
+      for (const Packet& pkt : *q) {
         if (pkt.arrived < 0) continue;
         const std::int64_t over = pkt.arrived - pkt.dist0;
         result.overshoot.Add(static_cast<double>(over));

@@ -19,12 +19,20 @@
 // each winning packet to its worker's packet arena, writes a 4-byte handle
 // to it into its receiver's 2d-entry row, and sets the matching presence
 // byte (each directed link has a unique writer, so the scatter is
-// race-free). The commit pass is then fully local — it compacts the
-// processor's own queue in place and appends the incomers through the
-// handles of its own contiguous row, touching no neighbor state. The
-// arenas hold only the packets bid in a step (O(1) per processor in the
-// multi-packet model), so the mailbox costs 4 bytes per directed link
-// rather than a whole Packet.
+// race-free). A winner's receiver is p -/+ stride[dim], wrapped on the
+// torus, computed from the coordinate row the bid already holds; there is
+// no neighbor table. The commit pass is then fully local — it compacts the
+// processor's own queue block in place and appends the incomers through
+// the handles of its own contiguous row, touching no neighbor state. A
+// commit that lands incomers on an empty processor takes a block from its
+// worker's lane of the Network's pool, and one that leaves a queue empty
+// gives the block back (net/network.h), so queue storage follows the
+// occupied processors. The one exception: a dense pass keeps emptied
+// blocks while the live blocks number at most twice the packets, so a nearly
+// full mesh keeps its blocks in processor order instead of recycling them
+// every step. The arenas hold only the packets bid in a step
+// (O(1) per processor in the multi-packet model), so the mailbox costs 4
+// bytes per directed link rather than a whole Packet.
 //
 // Because a commit is p-local, the engine pipelines steps: one pass over
 // the commit set performs commit(S) and immediately bids step S+1 from the
@@ -80,6 +88,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -327,6 +336,9 @@ class Engine {
     std::int64_t qmax = 0;
     std::vector<std::int64_t> dir_moves;  // 2d entries; empty without probe
     std::vector<ProcId> receivers;        // sparse bid output (reused)
+    /// This worker's lane of the routed Network's block pool: the blocks
+    /// its commits take and give.
+    QueueLane* lane = nullptr;
     /// Injector runs: the packets this worker's commits delivered, in
     /// processor then queue order; the coordinator hands them to OnDeliver
     /// in shard order and clears the buffer.
@@ -349,11 +361,12 @@ class Engine {
   /// additionally records the receivers into `s->receivers`
   /// for active-set maintenance; kRecordSlots additionally publishes the
   /// winner indices to the processor's slot_ row for CheckSlots (checker
-  /// path only — the routing never reads a foreign slot row). `queues` is
-  /// the network's queue array, hoisted out of the per-processor loop.
+  /// path only — the routing never reads a foreign slot row). `slots` is
+  /// the network's queue directory (Network::slots), hoisted out of the
+  /// per-processor loop; a null slot bids nothing.
   template <bool kFaults, bool kSparse, bool kRecordSlots>
-  void BidProc(PacketQueue* queues, ProcId p, std::int64_t step, int parity,
-               WorkerScratch* s);
+  void BidProc(PacketQueue* const* slots, ProcId p, std::int64_t step,
+               int parity, WorkerScratch* s);
 
   /// The hop `pkt` bids for at the processor with coordinates `cp` and
   /// link base `base` on `step`: (dim, dir), dim = -1 when every outgoing
@@ -364,36 +377,67 @@ class Engine {
   std::int64_t Hop(const std::int32_t* cp, std::size_t base, Packet& pkt,
                    std::int64_t step, int& dim, int& dir) const;
 
+  /// Whether processor p's presence row in mailbox buffer `parity` is all
+  /// zero: nothing arrives at p this step.
+  bool MailboxRowEmpty(int parity, std::size_t p) const {
+    const std::uint8_t* const row =
+        in_mask_.data() +
+        (static_cast<std::size_t>(parity) * (in_mask_.size() / 2) +
+         p * mask_stride_);
+    std::uint64_t any = 0;
+    for (std::size_t i = 0; i < mask_stride_; i += 8) {
+      std::uint64_t word;
+      std::memcpy(&word, row + i, sizeof(word));
+      any |= word;
+    }
+    return any == 0;
+  }
+
   /// Appends `pkt` to worker `s`'s arena for `parity` and writes its handle
   /// and presence byte into entry `e` of receiver `r`'s mailbox row.
   void Post(WorkerScratch* s, int parity, std::size_t r, std::size_t e,
             const Packet& pkt);
 
-  /// Coordinator-side bid for the packet just appended to queues[p] after
+  /// The far end of processor p's outgoing link l = dim * 2 + dir, from
+  /// p's coordinate row `cp`: p -/+ stride[dim], wrapped on the torus.
+  /// Asked only for links that exist (a mesh boundary link never wins).
+  std::size_t Receiver(std::size_t p, const std::int32_t* cp,
+                       std::size_t l) const {
+    const LinkStep& ls = link_step_[l];
+    return p + (cp[l >> 1] == ls.edge ? ls.wrap : ls.step);
+  }
+
+  /// Coordinator-side bid for the packet just appended to p's queue after
   /// p's bids for `step` were posted. It meets only its own link's current
   /// winner (and may overwrite that winner's arena slot), claims a free
   /// link with a new entry in worker 0's arena, or records one lost-bid
   /// wait: a full re-bid's outcome. Returns a new entry's receiver, else -1.
   template <bool kFaults>
-  ProcId BidLate(PacketQueue* queues, ProcId p, std::int64_t step);
+  ProcId BidLate(PacketQueue* const* slots, ProcId p, std::int64_t step);
 
-  /// Delivery for one processor, fully local: compacts the stayers of
-  /// queues[p] in place and appends the incomers named by p's own mailbox
-  /// row in buffer `parity` (consuming the presence bytes), accumulating
-  /// counters into `s`. With `retire`, delivered incomers go to
+  /// Delivery for one processor, fully local: compacts the stayers of p's
+  /// queue block in place and appends the incomers named by p's own
+  /// mailbox row in buffer `parity` (consuming the presence bytes),
+  /// accumulating counters into `s`. The block comes from s.lane when
+  /// incomers land on an empty processor and goes back to it when the
+  /// queue ends empty, unless the pass is set to `hold` empty blocks;
+  /// slots[p] follows. With `retire`, delivered incomers go to
   /// s.delivered instead of the queue (s.qmax still counts them). Returns
   /// true if the queue still holds an in-flight packet (active-set
   /// maintenance).
-  bool CommitProc(PacketQueue* queues, ProcId p, std::int32_t now,
-                  bool count_dirs, bool retire, int parity, WorkerScratch& s);
+  bool CommitProc(PacketQueue** slots, ProcId p, std::int32_t now,
+                  bool count_dirs, bool retire, bool hold, int parity,
+                  WorkerScratch& s);
 
-  /// Scans the network for processors holding in-flight packets.
-  void RebuildActiveSet(Network& net);
+  /// Scans the directory for processors holding in-flight packets. Like
+  /// RebuildTouched, it also gives the blocks dense commits kept empty
+  /// back to `lane`: sparse passes would never revisit them.
+  void RebuildActiveSet(PacketQueue** slots, QueueLane& lane);
 
   /// Dense-to-sparse transition for the fused pipeline: rebuilds touched_
   /// as every processor holding an in-flight packet (movers included) or a
   /// pending mailbox entry in buffer `parity`. O(N), runs once per switch.
-  void RebuildTouched(Network& net, int parity);
+  void RebuildTouched(PacketQueue** slots, QueueLane& lane, int parity);
 
   std::shared_ptr<StallReport> BuildStallReport(const Network& net,
                                                 StallReason reason,
@@ -405,7 +449,16 @@ class Engine {
   int d_;
   int n_;
   std::vector<std::int32_t> coords_;        // N x d coordinate table
-  std::vector<std::int32_t> nbr_;           // N x 2d neighbor table (-1: none)
+  // Per outgoing link l = dim * 2 + dir: the processor-id step to the
+  // receiver (+/- stride[dim], modulo 2^64), and the step across the torus
+  // wrap taken instead when the sender's coordinate sits on the edge the
+  // link leaves from (-1 on a mesh, which never wraps).
+  struct LinkStep {
+    std::size_t step = 0;
+    std::size_t wrap = 0;
+    std::int32_t edge = 0;
+  };
+  LinkStep link_step_[2 * kMaxDim];
   std::vector<std::int32_t> slot_;          // N x 2d winner queue-index;
                                             // allocated only for a checker
 

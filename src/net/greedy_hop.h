@@ -10,7 +10,8 @@
 //
 //  * Link-liveness functor (`AliveFn`, faulted path only): `alive(dim, dir)`
 //    must return whether the directed link exists *and* is currently up.
-//    The engine closes over its neighbor table plus the per-step dead mask.
+//    The engine closes over the processor's coordinate row (mesh boundary
+//    links do not exist) plus the per-step dead mask.
 #pragma once
 
 #include <cstdint>

@@ -32,7 +32,11 @@ void InvariantChecker::Fail(std::int64_t step, const char* what,
 }
 
 void InvariantChecker::BeginRun(const Network& net) {
-  packets_ = net.TotalPackets();
+  // Counted here rather than read from the Network's cache: the engine
+  // mutates the queues through the directory for the whole run, and a
+  // recount cached mid-run would go stale.
+  packets_ = 0;
+  net.ForEach([this](ProcId, const Packet&) { ++packets_; });
 }
 
 void InvariantChecker::CheckSlots(const Network& net,

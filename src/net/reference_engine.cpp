@@ -49,41 +49,37 @@ RouteResult ReferenceEngine::Route(Network& net) {
   const int d = topo_->dim();
 
   std::int64_t in_flight = 0;
-  for (ProcId p = 0; p < N; ++p) {
-    for (Packet& pkt : net.At(p)) {
-      pkt.flags &= static_cast<std::uint16_t>(~Packet::kMoving);
-      pkt.dist0 = static_cast<std::int32_t>(RemainingDistance(*topo_, p, pkt));
-      if ((pkt.flags & Packet::kTwoLeg) != 0 && pkt.dest == p) {
-        pkt.dest = static_cast<ProcId>(pkt.tag);
-        pkt.flags &= static_cast<std::uint16_t>(~Packet::kTwoLeg);
-      }
-      pkt.arrived = pkt.dest == p ? 0 : -1;
-      if (pkt.dest != p) ++in_flight;
-      result.max_distance = std::max<std::int64_t>(result.max_distance, pkt.dist0);
-      ++result.packets;
+  net.ForEach([&](ProcId p, Packet& pkt) {
+    pkt.flags &= static_cast<std::uint16_t>(~Packet::kMoving);
+    pkt.dist0 = static_cast<std::int32_t>(RemainingDistance(*topo_, p, pkt));
+    if ((pkt.flags & Packet::kTwoLeg) != 0 && pkt.dest == p) {
+      pkt.dest = static_cast<ProcId>(pkt.tag);
+      pkt.flags &= static_cast<std::uint16_t>(~Packet::kTwoLeg);
     }
-  }
+    pkt.arrived = pkt.dest == p ? 0 : -1;
+    if (pkt.dest != p) ++in_flight;
+    result.max_distance = std::max<std::int64_t>(result.max_distance, pkt.dist0);
+    ++result.packets;
+  });
   result.max_queue = net.MaxQueue();
   result.links = topo_->torus()
                      ? 2ll * d * N
                      : 2ll * d * N * (topo_->side() - 1) / topo_->side();
 
+  const auto delivered = [](ProcId, const Packet& pkt) {
+    return pkt.arrived >= 0;
+  };
   StepInjector* const injector = injector_;
   if (injector != nullptr) {
     // Preloads count as injected at step 1; those already home are handed
     // back with latency 0 and retired before the first step.
-    for (ProcId p = 0; p < N; ++p) {
-      auto& q = net.At(p);
-      for (Packet& pkt : q) {
-        pkt.tag = 1;
-        if (pkt.arrived < 0) continue;
-        result.overshoot.Add(0.0);
-        injector->OnDeliver(pkt, 0);
-      }
-      q.erase(std::remove_if(q.begin(), q.end(),
-                             [](const Packet& pkt) { return pkt.arrived >= 0; }),
-              q.end());
-    }
+    net.ForEach([&](ProcId, Packet& pkt) {
+      pkt.tag = 1;
+      if (pkt.arrived < 0) return;
+      result.overshoot.Add(0.0);
+      injector->OnDeliver(pkt, 0);
+    });
+    net.EraseIf(delivered);
   }
 
   std::int64_t cap = step_cap_;
@@ -136,7 +132,7 @@ RouteResult ReferenceEngine::Route(Network& net) {
     };
     std::map<std::pair<ProcId, int>, std::vector<Want>> contenders;
     for (ProcId p = 0; p < N; ++p) {
-      const auto& q = net.At(p);
+      const auto& q = std::as_const(net).At(p);
       for (std::size_t i = 0; i < q.size(); ++i) {
         const Packet& pkt = q[i];
         if (pkt.dest == p) continue;
@@ -178,14 +174,9 @@ RouteResult ReferenceEngine::Route(Network& net) {
       net.At(m.from)[m.index].flags |= Packet::kMoving;  // mark for removal
       in_transit.emplace_back(m.to, pkt);
     }
-    for (ProcId p = 0; p < N; ++p) {
-      auto& q = net.At(p);
-      q.erase(std::remove_if(q.begin(), q.end(),
-                             [](const Packet& pkt) {
-                               return (pkt.flags & Packet::kMoving) != 0;
-                             }),
-              q.end());
-    }
+    net.EraseIf([](ProcId, const Packet& pkt) {
+      return (pkt.flags & Packet::kMoving) != 0;
+    });
     result.moves += static_cast<std::int64_t>(in_transit.size());
     for (auto& [to, pkt] : in_transit) {
       if (pkt.dest == to) {
@@ -207,34 +198,27 @@ RouteResult ReferenceEngine::Route(Network& net) {
     // 4. Open loop: hand every delivered packet back (ascending processor,
     //    queue order) and retire it.
     if (injector != nullptr) {
-      for (ProcId p = 0; p < N; ++p) {
-        auto& q = net.At(p);
-        for (const Packet& pkt : q) {
-          if (pkt.arrived < 0) continue;
-          const std::int64_t over =
-              (static_cast<std::int64_t>(pkt.arrived) - pkt.tag + 1) - pkt.dist0;
-          result.overshoot.Add(static_cast<double>(over));
-          result.max_overshoot = std::max(result.max_overshoot, over);
-          injector->OnDeliver(pkt, step);
-        }
-        q.erase(std::remove_if(q.begin(), q.end(),
-                               [](const Packet& pkt) { return pkt.arrived >= 0; }),
-                q.end());
-      }
+      std::as_const(net).ForEach([&](ProcId, const Packet& pkt) {
+        if (pkt.arrived < 0) return;
+        const std::int64_t over =
+            (static_cast<std::int64_t>(pkt.arrived) - pkt.tag + 1) - pkt.dist0;
+        result.overshoot.Add(static_cast<double>(over));
+        result.max_overshoot = std::max(result.max_overshoot, over);
+        injector->OnDeliver(pkt, step);
+      });
+      net.EraseIf(delivered);
       if (stopped) break;
     }
   }
 
   result.steps = step;
   result.completed = arrivals == in_flight;
-  for (ProcId p = 0; p < N; ++p) {
-    for (const Packet& pkt : net.At(p)) {
-      if (pkt.arrived < 0) continue;
-      const std::int64_t over = pkt.arrived - pkt.dist0;
-      result.overshoot.Add(static_cast<double>(over));
-      result.max_overshoot = std::max(result.max_overshoot, over);
-    }
-  }
+  std::as_const(net).ForEach([&](ProcId, const Packet& pkt) {
+    if (pkt.arrived < 0) return;
+    const std::int64_t over = pkt.arrived - pkt.dist0;
+    result.overshoot.Add(static_cast<double>(over));
+    result.max_overshoot = std::max(result.max_overshoot, over);
+  });
   return result;
 }
 

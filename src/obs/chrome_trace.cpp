@@ -65,17 +65,6 @@ class EventBuilder {
   bool args_open_ = false;
 };
 
-const char* StageName(std::uint8_t stage) {
-  switch (stage) {
-    case 1:
-      return "stage1";
-    case 2:
-      return "stage2";
-    default:
-      return "parallel_for";
-  }
-}
-
 double ToUs(std::chrono::steady_clock::duration d) {
   return std::chrono::duration<double, std::micro>(d).count();
 }
@@ -242,7 +231,7 @@ void ChromeTraceWriter::AddWorkerActivity(const ThreadPoolActivity& activity) {
       const double begin_us = ToUs(iv.t0 - wall_origin_);
       const double end_us = ToUs(iv.t1 - wall_origin_);
       EventBuilder ev("X", begin_us, kPidWorkers, tid);
-      ev.Name(StageName(iv.stage))
+      ev.Name("parallel_for")
           .Cat("dispatch")
           .Dur(std::max(0.0, end_us - begin_us));
       JsonWriter& args = ev.Args();

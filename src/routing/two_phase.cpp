@@ -77,6 +77,10 @@ TwoPhaseResult RouteTwoPhase(const Topology& topo,
 
   Rng rng(opts.seed);
   Network net(topo);
+  // Every processor sends one packet, and the fill below visits them in
+  // block-pair order: take their queue blocks in processor order first,
+  // so the dense sweep streams through them.
+  for (ProcId p = 0; p < topo.size(); ++p) net.At(p);
   result.min_s_size = std::numeric_limits<std::int64_t>::max();
 
   // Deterministic within-block spreading: a rotating offset per midpoint

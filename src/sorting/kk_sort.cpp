@@ -63,6 +63,10 @@ void FillExplicit(Network& net, const BlockGrid& grid, std::int64_t k,
     throw std::invalid_argument("FillExplicit: need exactly N*k keys");
   }
   net.Clear();
+  // Every processor gets k packets in block-snake order: take the queue
+  // blocks in processor order first, so the dense sweep streams through
+  // them.
+  for (ProcId p = 0; p < N && k > 0; ++p) net.At(p);
   const std::int64_t B = grid.block_volume();
   std::int64_t t = 0;
   for (BlockId blk = 0; blk < grid.num_blocks(); ++blk) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace mdmesh {
 
@@ -12,6 +13,7 @@ std::int64_t SortWithinBlock(Network& net, const BlockGrid& grid, BlockId block,
   std::vector<Packet> gathered;
   for (std::int64_t off = 0; off < B; ++off) {
     const ProcId p = grid.ProcAt(block, off);
+    if (std::as_const(net).At(p).empty()) continue;  // no block to allocate
     auto& q = net.At(p);
     std::size_t w = 0;
     for (std::size_t r = 0; r < q.size(); ++r) {
@@ -89,7 +91,7 @@ std::int64_t MeasureRegionRounds(Network& net, const BlockGrid& grid,
   std::vector<std::pair<std::uint64_t, std::int64_t>> keys;
   for (BlockId b : blocks) {
     for (std::int64_t off = 0; off < grid.block_volume(); ++off) {
-      for (const Packet& pkt : net.At(grid.ProcAt(b, off))) {
+      for (const Packet& pkt : std::as_const(net).At(grid.ProcAt(b, off))) {
         if (!spec.filter || spec.filter(pkt)) keys.emplace_back(pkt.key, pkt.id);
       }
     }

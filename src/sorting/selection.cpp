@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "meshsim/geometry.h"
@@ -88,14 +89,7 @@ SelectResult SelectAtCenter(Network& net, const BlockGrid& grid,
 
   // Drop non-candidates (they have served their purpose: `below` is exact)
   // and route the candidates to the home block.
-  for (ProcId p = 0; p < grid.topo().size(); ++p) {
-    auto& q = net.At(p);
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < q.size(); ++r) {
-      if (q[r].tag == 1) q[w++] = q[r];
-    }
-    q.resize(w);
-  }
+  net.EraseIf([](ProcId, const Packet& pkt) { return pkt.tag != 1; });
   {
     RouteResult r = engine.Route(net);
     result.routing_steps += r.steps;
@@ -108,7 +102,7 @@ SelectResult SelectAtCenter(Network& net, const BlockGrid& grid,
   // processor is an o(n) walk inside one block).
   std::vector<std::pair<std::uint64_t, std::int64_t>> cands;
   for (std::int64_t off = 0; off < B; ++off) {
-    for (const Packet& pkt : net.At(grid.ProcAt(home, off))) {
+    for (const Packet& pkt : std::as_const(net).At(grid.ProcAt(home, off))) {
       cands.emplace_back(pkt.key, pkt.id);
     }
   }

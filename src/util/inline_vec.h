@@ -82,6 +82,8 @@ class InlineVec {
   const T& back() const { return (*this)[size_ - 1]; }
 
   void clear() { size_ = 0; }  // keeps the buffer
+  /// Empties the vector and frees a heap buffer: back to inline storage.
+  void reset() { Release(); }
 
   void reserve(std::size_t want) {
     if (want <= cap_) return;
@@ -131,6 +133,14 @@ class InlineVec {
     }
     size_ -= static_cast<std::size_t>(last - first);
     return first;
+  }
+
+  /// Starts loading what a first access reads: the size field, which
+  /// sits after the inline buffer, and the first inline element. Touches
+  /// no memory itself.
+  void Prefetch() const {
+    __builtin_prefetch(&size_);
+    __builtin_prefetch(inline_ + sizeof(T) - 1);
   }
 
   friend bool operator==(const InlineVec& a, const InlineVec& b) {

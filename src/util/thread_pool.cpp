@@ -26,8 +26,7 @@ void ThreadPoolActivity::Record(std::size_t lane, const Interval& iv) {
 
 template <typename Body>
 void ThreadPool::RunLogged(std::size_t lane, std::int64_t begin,
-                           std::int64_t end, std::uint8_t stage,
-                           const Body& body) {
+                           std::int64_t end, const Body& body) {
   if (activity_ == nullptr) {
     body();
     return;
@@ -35,7 +34,6 @@ void ThreadPool::RunLogged(std::size_t lane, std::int64_t begin,
   ThreadPoolActivity::Interval iv;
   iv.begin = begin;
   iv.end = end;
-  iv.stage = stage;
   iv.t0 = std::chrono::steady_clock::now();
   body();
   iv.t1 = std::chrono::steady_clock::now();
@@ -77,44 +75,16 @@ void ThreadPool::ParallelFor(
   dispatches_.fetch_add(1, std::memory_order_relaxed);
   items_.fetch_add(count, std::memory_order_relaxed);
   if (ShardsFor(count) == 1) {
-    RunLogged(0, 0, count, 0, [&] { fn(0, count); });
+    RunLogged(0, 0, count, [&] { fn(0, count); });
     return;
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
     job_.fn = &fn;
-    job_.stage1 = nullptr;
-    job_.stage2 = nullptr;
     job_.count = count;
     ++epoch_;
     job_.epoch = epoch_;
     remaining_ = static_cast<unsigned>(threads_.size());
-  }
-  cv_start_.notify_all();
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_done_.wait(lock, [this] { return remaining_ == 0; });
-}
-
-void ThreadPool::ParallelForStaged(std::int64_t count, const StagedFn& stage1,
-                                   const StagedFn& stage2) {
-  if (count <= 0) return;
-  dispatches_.fetch_add(1, std::memory_order_relaxed);
-  items_.fetch_add(count, std::memory_order_relaxed);
-  if (ShardsFor(count) == 1) {
-    RunLogged(0, 0, count, 1, [&] { stage1(0, 0, count); });
-    RunLogged(0, 0, count, 2, [&] { stage2(0, 0, count); });
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    job_.fn = nullptr;
-    job_.stage1 = &stage1;
-    job_.stage2 = &stage2;
-    job_.count = count;
-    ++epoch_;
-    job_.epoch = epoch_;
-    remaining_ = static_cast<unsigned>(threads_.size());
-    barrier_remaining_ = remaining_;
   }
   cv_start_.notify_all();
   std::unique_lock<std::mutex> lock(mu_);
@@ -125,8 +95,6 @@ void ThreadPool::WorkerLoop(unsigned index) {
   std::uint64_t seen = 0;
   for (;;) {
     const std::function<void(std::int64_t, std::int64_t)>* fn;
-    const StagedFn* stage1;
-    const StagedFn* stage2;
     std::int64_t count;
     {
       std::unique_lock<std::mutex> lock(mu_);
@@ -134,38 +102,14 @@ void ThreadPool::WorkerLoop(unsigned index) {
       if (stop_) return;
       seen = job_.epoch;
       fn = job_.fn;
-      stage1 = job_.stage1;
-      stage2 = job_.stage2;
       count = job_.count;
     }
     const auto nw = static_cast<std::int64_t>(threads_.size());
     const std::int64_t chunk = (count + nw - 1) / nw;
     const std::int64_t begin = std::min<std::int64_t>(count, chunk * index);
     const std::int64_t end = std::min<std::int64_t>(count, begin + chunk);
-    if (fn != nullptr) {
-      if (begin < end) {
-        RunLogged(index + 1, begin, end, 0, [&] { (*fn)(begin, end); });
-      }
-    } else {
-      if (begin < end) {
-        RunLogged(index + 1, begin, end, 1,
-                  [&] { (*stage1)(index, begin, end); });
-      }
-      // Internal barrier: every worker (empty shards included) arrives, the
-      // last one releases the rest, and only then may stage2 read what
-      // other shards' stage1 wrote.
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        if (--barrier_remaining_ == 0) {
-          cv_barrier_.notify_all();
-        } else {
-          cv_barrier_.wait(lock, [this] { return barrier_remaining_ == 0; });
-        }
-      }
-      if (begin < end) {
-        RunLogged(index + 1, begin, end, 2,
-                  [&] { (*stage2)(index, begin, end); });
-      }
+    if (begin < end) {
+      RunLogged(index + 1, begin, end, [&] { (*fn)(begin, end); });
     }
     {
       std::lock_guard<std::mutex> lock(mu_);

@@ -1,21 +1,12 @@
-// Minimal work-sharing thread pool with a blocking ParallelFor and a fused
-// two-stage dispatch.
+// Minimal work-sharing thread pool with a blocking ParallelFor.
 //
 // The simulation engine's per-step update is embarrassingly parallel over
 // processors (each directed link has a unique writer slot), so a simple
 // static range split is sufficient. The pool is optional: with 0 or 1
 // workers ParallelFor degrades to a plain serial loop, which keeps single
 // core machines (and unit tests) free of threading overhead while remaining
-// bit-for-bit deterministic at any worker count.
-//
-// ParallelForStaged runs two dependent stages over the *same* static shard
-// partition with one pool dispatch: every worker runs stage1 on its shard,
-// crosses an internal worker barrier, then runs stage2 on the same shard.
-// Compared to two back-to-back ParallelFor calls this halves the number of
-// coordinator round-trips (one wake + one completion wait instead of two of
-// each), which is what the engine's fused bid/commit step is built on. The
-// partition is exposed through ShardsFor so callers can precompute
-// shard-interior sets that stay valid as long as the partition does.
+// bit-for-bit deterministic at any worker count. The partition is exposed
+// through ShardsFor so callers can map a range back to its shard.
 #pragma once
 
 #include <atomic>
@@ -44,7 +35,6 @@ class ThreadPoolActivity {
     std::chrono::steady_clock::time_point t1;
     std::int64_t begin = 0;   ///< item range [begin, end)
     std::int64_t end = 0;
-    std::uint8_t stage = 0;   ///< 0 = ParallelFor; 1/2 = staged stages
   };
 
   explicit ThreadPoolActivity(std::size_t capacity_per_lane = 8192)
@@ -66,9 +56,6 @@ class ThreadPoolActivity {
 
 class ThreadPool {
  public:
-  /// Stage callback for ParallelForStaged: (shard index, begin, end).
-  using StagedFn = std::function<void(unsigned, std::int64_t, std::int64_t)>;
-
   /// Creates `workers` persistent threads. 0 means "serial mode".
   explicit ThreadPool(unsigned workers);
   ~ThreadPool();
@@ -91,14 +78,6 @@ class ThreadPool {
   void ParallelFor(std::int64_t count,
                    const std::function<void(std::int64_t, std::int64_t)>& fn);
 
-  /// Fused two-stage dispatch: stage1(s, begin, end) over every shard, one
-  /// internal worker barrier, then stage2(s, begin, end) over the same
-  /// shards — a single pool round-trip. stage2 may read anything stage1
-  /// wrote in *any* shard. In serial mode both stages run inline as
-  /// stage1(0, 0, count); stage2(0, 0, count).
-  void ParallelForStaged(std::int64_t count, const StagedFn& stage1,
-                         const StagedFn& stage2);
-
   /// Attaches (or detaches, with nullptr) an activity recorder. Every
   /// subsequent dispatch logs one Interval per executed shard — including
   /// serial/inline execution, which logs into lane 0. Call only while the
@@ -108,8 +87,7 @@ class ThreadPool {
   void set_activity(ThreadPoolActivity* activity);
   ThreadPoolActivity* activity() const { return activity_; }
 
-  /// Lifetime dispatch totals: calls to ParallelFor/ParallelForStaged and
-  /// the items they covered. One relaxed add per *dispatch* (never per
+  /// Lifetime dispatch totals: calls to ParallelFor and the items they covered. One relaxed add per *dispatch* (never per
   /// item), so they are always on; live-telemetry publishers surface them
   /// as pool gauges. Reads are racy-but-monotonic snapshots.
   std::int64_t dispatches() const {
@@ -128,12 +106,10 @@ class ThreadPool {
   /// on `lane`.
   template <typename Body>
   void RunLogged(std::size_t lane, std::int64_t begin, std::int64_t end,
-                 std::uint8_t stage, const Body& body);
+                 const Body& body);
 
   struct Job {
     const std::function<void(std::int64_t, std::int64_t)>* fn = nullptr;
-    const StagedFn* stage1 = nullptr;  // staged job when non-null
-    const StagedFn* stage2 = nullptr;
     std::int64_t count = 0;
     std::uint64_t epoch = 0;
   };
@@ -144,11 +120,9 @@ class ThreadPool {
   std::atomic<std::int64_t> items_{0};
   std::mutex mu_;
   std::condition_variable cv_start_;
-  std::condition_variable cv_barrier_;
   std::condition_variable cv_done_;
   Job job_;
   unsigned remaining_ = 0;
-  unsigned barrier_remaining_ = 0;
   std::uint64_t epoch_ = 0;
   bool stop_ = false;
 };

@@ -725,9 +725,7 @@ TEST(CkptFileTest, ValidChecksumOverGarbagePayloadIsBadPayload) {
   // as kBadPayload — decode errors are distinct from integrity errors.
   // Build the 28-byte header by hand around a garbage payload.
   const std::vector<std::uint8_t> garbage(16, 0xAB);
-  std::vector<std::uint8_t> file;
-  const char magic[8] = {'M', 'D', 'M', 'C', 'K', 'P', 'T', '1'};
-  file.insert(file.end(), magic, magic + 8);
+  std::vector<std::uint8_t> file = {'M', 'D', 'M', 'C', 'K', 'P', 'T', '1'};
   auto put32 = [&file](std::uint32_t v) {
     for (int i = 0; i < 4; ++i)
       file.push_back(static_cast<std::uint8_t>(v >> (8 * i)));

@@ -81,10 +81,11 @@ TEST_P(DifferentialTest, EnginesAgreeOnRandomLoads) {
   ExpectIdenticalRuns(topo, net);
 }
 
-// The last two inputs: six packets per processor, so queues spill out of
-// PacketQueue's inline storage through every step of a Route; and a
-// 68921-processor mesh, where the mailbox arenas carry tens of thousands
-// of packets per step.
+// Six packets per processor, so queues spill out of PacketQueue's inline
+// storage through every step of a Route; a 68921-processor mesh, where the
+// mailbox arenas carry tens of thousands of packets per step; and four
+// tori whose odd sides, n = 2 (both directions reach the same neighbor)
+// and 1D ring exercise the receiver's wrap arithmetic.
 INSTANTIATE_TEST_SUITE_P(Workloads, DifferentialTest,
                          ::testing::Values(std::tuple{1, 12, Wrap::kMesh, 1},
                                            std::tuple{2, 6, Wrap::kMesh, 1},
@@ -95,7 +96,11 @@ INSTANTIATE_TEST_SUITE_P(Workloads, DifferentialTest,
                                            std::tuple{3, 4, Wrap::kTorus, 3},
                                            std::tuple{4, 3, Wrap::kMesh, 1},
                                            std::tuple{2, 8, Wrap::kMesh, 6},
-                                           std::tuple{3, 41, Wrap::kMesh, 1}));
+                                           std::tuple{3, 41, Wrap::kMesh, 1},
+                                           std::tuple{1, 9, Wrap::kTorus, 1},
+                                           std::tuple{2, 5, Wrap::kTorus, 2},
+                                           std::tuple{2, 2, Wrap::kTorus, 3},
+                                           std::tuple{3, 3, Wrap::kTorus, 2}));
 
 TEST(DifferentialTest, AgreeOnStructuredPermutations) {
   for (Wrap wrap : {Wrap::kMesh, Wrap::kTorus}) {

@@ -73,7 +73,9 @@ TEST(PerfCountersTest, OpenEitherWorksOrDegradesWithDiagnostic) {
   for (int i = 0; i < 2000000; ++i) sink = sink + i;
   const PerfSample after = pc.Read();
   const PerfSample delta = after.DeltaFrom(before);
-  if (after.cycles >= 0) EXPECT_GE(delta.cycles, 0);
+  if (after.cycles >= 0) {
+    EXPECT_GE(delta.cycles, 0);
+  }
   if (after.instructions >= 0) {
     EXPECT_GT(delta.instructions, 0);  // the loop retired instructions
   }

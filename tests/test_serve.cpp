@@ -472,7 +472,9 @@ TEST(HttpServer, OversizedRequestsAreSheddedNotServed) {
   // The server stops reading at the cap and answers 413; depending on
   // socket buffering the client may instead see the connection drop while
   // still sending. Either way the request must not be served...
-  if (big.ok) EXPECT_EQ(big.status, 413);
+  if (big.ok) {
+    EXPECT_EQ(big.status, 413);
+  }
   // ...and the server must survive it and keep serving normal requests.
   const HttpResult after = HttpFetch(server.port(), "GET", "/");
   ASSERT_TRUE(after.ok) << after.error;

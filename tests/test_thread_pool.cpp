@@ -66,52 +66,6 @@ TEST(ThreadPoolTest, ResultIndependentOfWorkerCount) {
   EXPECT_EQ(run(0), run(7));
 }
 
-TEST(ThreadPoolTest, StagedDispatchBarriersBetweenStages) {
-  // ParallelForStaged guarantees stage2 sees *everything* stage1 wrote in
-  // any shard. Stage1 fills a table; stage2 sums the whole table (not just
-  // its own shard) — without the internal barrier the sums would race.
-  for (unsigned workers : {0u, 1u, 4u, 7u}) {
-    ThreadPool pool(workers);
-    constexpr std::int64_t kCount = 640;
-    std::vector<std::int64_t> table(kCount, 0);
-    std::vector<std::int64_t> sums(pool.ShardsFor(kCount), -1);
-    pool.ParallelForStaged(
-        kCount,
-        [&](unsigned, std::int64_t b, std::int64_t e) {
-          for (std::int64_t i = b; i < e; ++i)
-            table[static_cast<std::size_t>(i)] = i;
-        },
-        [&](unsigned shard, std::int64_t, std::int64_t) {
-          sums[shard] = std::accumulate(table.begin(), table.end(),
-                                        std::int64_t{0});
-        });
-    for (std::int64_t s : sums) EXPECT_EQ(s, kCount * (kCount - 1) / 2);
-  }
-}
-
-TEST(ThreadPoolTest, StagedDispatchShardsMatchShardsFor) {
-  ThreadPool pool(4);
-  constexpr std::int64_t kCount = 101;
-  const auto shards = static_cast<std::int64_t>(pool.ShardsFor(kCount));
-  const std::int64_t chunk = (kCount + shards - 1) / shards;
-  std::atomic<int> bad{0};
-  std::vector<std::atomic<int>> hits(kCount);
-  pool.ParallelForStaged(
-      kCount,
-      [&](unsigned shard, std::int64_t b, std::int64_t e) {
-        if (b != static_cast<std::int64_t>(shard) * chunk) ++bad;
-        if (e > kCount || e < b) ++bad;
-        for (std::int64_t i = b; i < e; ++i)
-          hits[static_cast<std::size_t>(i)]++;
-      },
-      [&](unsigned, std::int64_t b, std::int64_t e) {
-        for (std::int64_t i = b; i < e; ++i)
-          hits[static_cast<std::size_t>(i)]++;
-      });
-  EXPECT_EQ(bad.load(), 0);
-  for (auto& h : hits) EXPECT_EQ(h.load(), 2);
-}
-
 TEST(ThreadPoolTest, GlobalPoolIsUsable) {
   std::atomic<int> n{0};
   ThreadPool::Global().ParallelFor(10, [&](std::int64_t b, std::int64_t e) {
