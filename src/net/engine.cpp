@@ -1171,7 +1171,11 @@ RouteResult Engine::RouteInternal(Network& net,
   bool cur_sparse = false;
   bool holding = false;  // the last pass kept emptied blocks
   const auto plan_pass = [&](std::int64_t at) {
+    const bool was_sparse = cur_sparse;
     cur_sparse = mode_for(in_flight - arrivals_total);
+    // Sparse passes recycle blocks in any order; a dense sweep wants them
+    // back in processor order.
+    if (was_sparse && !cur_sparse) net.LayOutInOrder();
     if (marked) {
       scan_marks();
       marked = false;
