@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -19,6 +20,7 @@
 #include "obs/probe.h"
 #include "obs/registry.h"
 #include "routing/permutations.h"
+#include "run_digest.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -290,6 +292,114 @@ TEST(ChromeTraceWriterTest, WorkerActivityEmitsPerLaneTracks) {
   EXPECT_NE(out.find("\"name\":\"worker 1\""), std::string::npos);
   // X events carry a duration, never negative.
   EXPECT_EQ(out.find("\"dur\":-"), std::string::npos);
+}
+
+// One trace through every event kind, with every host-dependent input (wall
+// stamps, perf deltas, dispatch times, build type) pinned, so Write()'s
+// exact bytes can be compared against a digest: a serializer change that
+// moves one byte of any event kind fails here.
+TEST(ChromeTraceWriterTest, WriteBytesArePinned) {
+  RunManifest manifest = TestManifest();
+  manifest.build_type = "release";
+  ChromeTraceWriter writer(manifest);
+
+  // Span tree: two top-level phases, a nested span, perf args on two spans
+  // (one with every counter, one whose ipc is unavailable).
+  TraceContext ctx;
+  {
+    Span outer = ctx.Open("sort \"outer\"\t\\phase");
+    outer.RecordRouting(10, 100, 3, 0);
+    {
+      Span inner = ctx.Open("route");
+      inner.RecordRouting(20, 50, 2, 1);
+    }
+    outer.RecordLocal(5, 1);
+  }
+  {
+    Span verify = ctx.Open("verify\x01");
+    verify.RecordLocal(7, 0);
+  }
+  // A live context stamps wall time and hardware counters from the host;
+  // overwrite both with fixed values.
+  auto& nodes = const_cast<std::vector<TraceContext::Node>&>(ctx.nodes());
+  ASSERT_EQ(nodes.size(), 4u);
+  nodes[1].begin_ms = 0.0;
+  nodes[1].end_ms = 1.0 / 3.0;
+  nodes[2].begin_ms = 0.125;
+  nodes[2].end_ms = 0.25;
+  nodes[3].begin_ms = 2.5;
+  nodes[3].end_ms = 2.0;  // clamped to begin
+  nodes[1].perf.cycles = 123456789;
+  nodes[1].perf.instructions = 234567890;
+  nodes[1].perf.cache_misses = 345;
+  nodes[1].perf.branch_misses = 67;
+  nodes[2].perf.instructions = 1000;
+  writer.AddSpanTree(ctx);
+
+  // 3D congestion series: six moves.dim* tracks, dense and sparse steps.
+  CongestionTrace trace;
+  for (std::int64_t step = 1; step <= 5; ++step) {
+    const std::int64_t dim_moves[6] = {step, 2 * step, 0, -step, 7, 1 << 20};
+    StepSnapshot snap;
+    snap.step = step;
+    snap.in_flight = 100 - step;
+    snap.arrivals = step % 2;
+    snap.moves = 3 * step;
+    snap.dims = 3;
+    snap.dim_dir_moves = dim_moves;
+    snap.active_procs = step % 2 == 0 ? -1 : 40 + step;
+    snap.injected = step == 3 ? 0 : 2;
+    trace.OnStep(snap);
+  }
+  writer.AddCounters(trace);
+
+  // Worker activity: ParallelFor over 1000 items splits across both workers
+  // (lanes 1 and 2); over 3 items it runs on the coordinator (lane 0).
+  ThreadPool pool(2);
+  ThreadPoolActivity activity;
+  pool.set_activity(&activity);
+  pool.ParallelFor(1000, [](std::int64_t, std::int64_t) {});
+  pool.ParallelFor(3, [](std::int64_t, std::int64_t) {});
+  pool.set_activity(nullptr);
+  auto& lanes =
+      const_cast<std::vector<std::vector<ThreadPoolActivity::Interval>>&>(
+          activity.lanes());
+  std::int64_t offset_ns = 1500;
+  for (auto& lane : lanes) {
+    for (ThreadPoolActivity::Interval& iv : lane) {
+      iv.t0 = ctx.origin() + std::chrono::nanoseconds(offset_ns);
+      iv.t1 = iv.t0 + std::chrono::nanoseconds(offset_ns / 3 + 1);
+      offset_ns += 123457;
+    }
+  }
+  writer.AddWorkerActivity(activity);
+
+  writer.AddInstant("fault \"link\" 3", 17.25, ChromeTraceWriter::kPidCounters,
+                    2);
+  writer.AddAsyncSpan("pkt 7", "journey", 7, 3.0, 11.0,
+                      ChromeTraceWriter::kPidJourneys, 1,
+                      "{\"src\":3,\"dst\":12}");
+  writer.AddAsyncSpan("pkt -2", "journey", -2, 9.5, 4.0,
+                      ChromeTraceWriter::kPidJourneys, 1);
+
+  for (const double ts :
+       {0.0, -0.0, 0.5, 1e9 + 1, 12345678901.0, 9999999999.0, 1e10, -5.0,
+        -9999999999.0, 1e-7, 123.456, 9007199254740993.0,
+        std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity()}) {
+    writer.AddCounter("replayed", ts, -7);
+  }
+  writer.AddCounter("extremes", 1.0, std::numeric_limits<std::int64_t>::min());
+  writer.AddCounter("extremes", 2.0, std::numeric_limits<std::int64_t>::max());
+
+  std::ostringstream os;
+  writer.Write(os);
+  const std::string bytes = os.str();
+  std::uint64_t digest = 14695981039346656037ull;
+  for (const char c : bytes) FnvMix(digest, static_cast<unsigned char>(c));
+  EXPECT_EQ(bytes.size(), 9923u);
+  EXPECT_EQ(digest, 3918483428587761842ull) << bytes;
 }
 
 // Full pipeline: instrumented engine run -> Chrome trace -> python3 JSON
