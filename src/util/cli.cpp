@@ -60,7 +60,9 @@ bool Cli::Parse(int argc, const char* const* argv) {
     }
     if (!have_value) {
       if (it->second.kind == Kind::kBool) {
-        value = "1";
+        // assign(count, char), not = "1": GCC 12 at -O3 reports a false
+        // -Wrestrict overlap inside char_traits for the literal form.
+        value.assign(1, '1');
       } else if (i + 1 < argc) {
         value = argv[++i];
       } else {

@@ -34,8 +34,13 @@ class ByteWriter {
   void Raw(const void* data, std::size_t size) {
     // Little-endian hosts only (static_asserted where a payload crosses a
     // file boundary); every target this repo builds on qualifies.
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    out_->insert(out_->end(), p, p + size);
+    // resize + memcpy rather than vector::insert, whose inlined copy GCC 12
+    // at -O3 misreads as overflowing a small buffer (-Wstringop-overflow,
+    // -Warray-bounds).
+    if (size == 0) return;
+    const std::size_t at = out_->size();
+    out_->resize(at + size);
+    std::memcpy(out_->data() + at, data, size);
   }
 
   std::vector<std::uint8_t>* out_;
