@@ -1,75 +1,135 @@
 #include "obs/chrome_trace.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <sstream>
 
 #include "obs/output.h"
+#include "util/atomic_file.h"
 
 namespace mdmesh {
 namespace {
 
-/// Serializes one event through a JsonWriter; every event carries ph, ts,
-/// pid, and tid so downstream schema checks can be uniform.
-class EventBuilder {
- public:
-  EventBuilder(const char* ph, double ts_us, int pid, int tid) : w_(os_) {
-    w_.BeginObject();
-    w_.Key("ph").String(ph);
-    w_.Key("ts").Double(ts_us);
-    w_.Key("pid").Int(pid);
-    w_.Key("tid").Int(tid);
-  }
+void AppendInt(std::string& out, std::int64_t value) {
+  char buf[24];
+  const std::to_chars_result res =
+      std::to_chars(buf, buf + sizeof(buf), value);
+  out.append(buf, res.ptr);
+}
 
-  EventBuilder& Name(const std::string& name) {
-    w_.Key("name").String(name);
-    return *this;
+/// The bytes JsonWriter::Double writes: "%.10g", and null for NaN or an
+/// infinity. "%.10g" prints an integral value below 1e10 in magnitude as
+/// that integer (its exponent is below the precision, so no exponent form,
+/// and the zero fraction is stripped), so those take the integer path:
+/// every step-clock timestamp is one. -0.0 keeps its sign.
+void AppendDouble(std::string& out, double value) {
+  if (!std::isfinite(value)) {
+    out += "null";
+    return;
   }
-
-  EventBuilder& Cat(const char* cat) {
-    w_.Key("cat").String(cat);
-    return *this;
+  if (std::fabs(value) < 1e10 && value == std::trunc(value)) {
+    if (value == 0.0 && std::signbit(value)) {
+      out += "-0";
+    } else {
+      AppendInt(out, static_cast<std::int64_t>(value));
+    }
+    return;
   }
+  char buf[32];
+  const int len = std::snprintf(buf, sizeof(buf), "%.10g", value);
+  out.append(buf, static_cast<std::size_t>(len));
+}
 
-  EventBuilder& Dur(double us) {
-    w_.Key("dur").Double(us);
-    return *this;
-  }
-
-  EventBuilder& Id(std::int64_t id) {
-    w_.Key("id").Int(id);
-    return *this;
-  }
-
-  EventBuilder& RawArgs(const std::string& args_json) {
-    w_.Key("args").Raw(args_json);
-    return *this;
-  }
-
-  JsonWriter& Args() {
-    w_.Key("args").BeginObject();
-    args_open_ = true;
-    return w_;
-  }
-
-  std::string Finish() {
-    if (args_open_) w_.EndObject();
-    w_.EndObject();
-    return os_.str();
-  }
-
- private:
-  std::ostringstream os_;
-  JsonWriter w_;
-  bool args_open_ = false;
-};
+void AppendString(std::string& out, std::string_view value) {
+  out += '"';
+  AppendJsonEscaped(out, value);
+  out += '"';
+}
 
 double ToUs(std::chrono::steady_clock::duration d) {
   return std::chrono::duration<double, std::micro>(d).count();
 }
 
 }  // namespace
+
+/// Appends one event object to the writer's buffer, with the bytes a
+/// compact JsonWriter would produce. Every event carries ph, ts, pid and
+/// tid first so downstream schema checks can be uniform; the other members
+/// follow in call order, and the *Arg calls gather into one "args" object.
+/// End() closes the event.
+class ChromeTraceWriter::Event {
+ public:
+  Event(ChromeTraceWriter& writer, const char* ph, double ts_us, int pid,
+        int tid)
+      : out_(writer.events_) {
+    if (writer.event_count_++ > 0) out_ += ",\n";
+    out_ += "{\"ph\":\"";
+    out_ += ph;
+    out_ += "\",\"ts\":";
+    AppendDouble(out_, ts_us);
+    out_ += ",\"pid\":";
+    AppendInt(out_, pid);
+    out_ += ",\"tid\":";
+    AppendInt(out_, tid);
+  }
+
+  Event& Name(std::string_view name) {
+    out_ += ",\"name\":";
+    AppendString(out_, name);
+    return *this;
+  }
+  Event& Cat(const char* cat) {
+    out_ += ",\"cat\":";
+    AppendString(out_, cat);
+    return *this;
+  }
+  Event& Dur(double us) {
+    out_ += ",\"dur\":";
+    AppendDouble(out_, us);
+    return *this;
+  }
+  Event& Id(std::int64_t id) {
+    out_ += ",\"id\":";
+    AppendInt(out_, id);
+    return *this;
+  }
+  /// `args_json` must be a serialized JSON object.
+  Event& RawArgs(std::string_view args_json) {
+    out_ += ",\"args\":";
+    out_ += args_json;
+    return *this;
+  }
+  Event& IntArg(std::string_view key, std::int64_t value) {
+    ArgKey(key);
+    AppendInt(out_, value);
+    return *this;
+  }
+  Event& DoubleArg(std::string_view key, double value) {
+    ArgKey(key);
+    AppendDouble(out_, value);
+    return *this;
+  }
+  Event& StringArg(std::string_view key, std::string_view value) {
+    ArgKey(key);
+    AppendString(out_, value);
+    return *this;
+  }
+  void End() { out_ += args_open_ ? "}}" : "}"; }
+
+ private:
+  void ArgKey(std::string_view key) {
+    out_ += args_open_ ? "," : ",\"args\":{";
+    args_open_ = true;
+    AppendString(out_, key);
+    out_ += ':';
+  }
+
+  std::string& out_;
+  bool args_open_ = false;
+};
 
 ChromeTraceWriter::ChromeTraceWriter(RunManifest manifest)
     : manifest_(std::move(manifest)) {
@@ -82,33 +142,25 @@ ChromeTraceWriter::ChromeTraceWriter(RunManifest manifest)
 
 void ChromeTraceWriter::AddMeta(const char* kind, int pid, int tid,
                                 const std::string& name) {
-  EventBuilder ev("M", 0.0, pid, tid);
-  ev.Name(kind);
-  JsonWriter& args = ev.Args();
-  args.Key("name").String(name);
-  events_.push_back(ev.Finish());
+  Event(*this, "M", 0.0, pid, tid).Name(kind).StringArg("name", name).End();
 }
 
 void ChromeTraceWriter::AddDuration(const std::string& name, double begin_us,
                                     double end_us, int pid, int tid) {
   if (end_us < begin_us) end_us = begin_us;
-  EventBuilder begin("B", begin_us, pid, tid);
-  begin.Name(name).Cat("phase");
-  events_.push_back(begin.Finish());
-  EventBuilder end("E", end_us, pid, tid);
-  end.Name(name).Cat("phase");
-  events_.push_back(end.Finish());
+  Event(*this, "B", begin_us, pid, tid).Name(name).Cat("phase").End();
+  Event(*this, "E", end_us, pid, tid).Name(name).Cat("phase").End();
 }
 
 void ChromeTraceWriter::AddInstant(const std::string& name, double ts_us,
                                    int pid, int tid) {
-  EventBuilder ev("i", ts_us, pid, tid);
-  ev.Name(name).Cat("marker");
-  JsonWriter& args = ev.Args();
   // Instant scope "t" keeps the marker on its own track instead of
   // spanning the whole group.
-  args.Key("s").String("t");
-  events_.push_back(ev.Finish());
+  Event(*this, "i", ts_us, pid, tid)
+      .Name(name)
+      .Cat("marker")
+      .StringArg("s", "t")
+      .End();
 }
 
 void ChromeTraceWriter::AddAsyncSpan(const std::string& name, const char* cat,
@@ -116,23 +168,25 @@ void ChromeTraceWriter::AddAsyncSpan(const std::string& name, const char* cat,
                                      double end_us, int pid, int tid,
                                      const std::string& args_json) {
   if (end_us < begin_us) end_us = begin_us;
-  EventBuilder begin("b", begin_us, pid, tid);
+  Event begin(*this, "b", begin_us, pid, tid);
   begin.Name(name).Cat(cat).Id(id);
   if (!args_json.empty()) begin.RawArgs(args_json);
-  events_.push_back(begin.Finish());
-  EventBuilder end("e", end_us, pid, tid);
-  end.Name(name).Cat(cat).Id(id);
-  events_.push_back(end.Finish());
+  begin.End();
+  Event(*this, "e", end_us, pid, tid).Name(name).Cat(cat).Id(id).End();
 }
 
 void ChromeTraceWriter::AddCounter(const std::string& series, double ts_us,
                                    std::int64_t value) {
-  EventBuilder ev("C", ts_us, kPidCounters, 0);
-  ev.Name(series);
-  JsonWriter& args = ev.Args();
-  args.Key(series).Int(value);
-  events_.push_back(ev.Finish());
+  AppendCounter(series, ts_us, value);
   counter_names_.insert(series);
+}
+
+void ChromeTraceWriter::AppendCounter(std::string_view series, double ts_us,
+                                      std::int64_t value) {
+  Event(*this, "C", ts_us, kPidCounters, 0)
+      .Name(series)
+      .IntArg(series, value)
+      .End();
 }
 
 void ChromeTraceWriter::AddSpanNode(const TraceContext& ctx, std::size_t node,
@@ -143,24 +197,24 @@ void ChromeTraceWriter::AddSpanNode(const TraceContext& ctx, std::size_t node,
     // Perfetto's span details pane surfaces them.
     double begin_us = n.begin_ms * 1000.0;
     double end_us = std::max(n.end_ms * 1000.0, begin_us);
-    EventBuilder begin("B", begin_us, kPidPhasesWall, tid);
+    Event begin(*this, "B", begin_us, kPidPhasesWall, tid);
     begin.Name(n.name).Cat("phase");
-    JsonWriter& args = begin.Args();
-    if (n.perf.cycles >= 0) args.Key("cycles").Int(n.perf.cycles);
+    if (n.perf.cycles >= 0) begin.IntArg("cycles", n.perf.cycles);
     if (n.perf.instructions >= 0) {
-      args.Key("instructions").Int(n.perf.instructions);
+      begin.IntArg("instructions", n.perf.instructions);
     }
     if (n.perf.cache_misses >= 0) {
-      args.Key("cache_misses").Int(n.perf.cache_misses);
+      begin.IntArg("cache_misses", n.perf.cache_misses);
     }
     if (n.perf.branch_misses >= 0) {
-      args.Key("branch_misses").Int(n.perf.branch_misses);
+      begin.IntArg("branch_misses", n.perf.branch_misses);
     }
-    if (n.perf.ipc() >= 0) args.Key("ipc").Double(n.perf.ipc());
-    events_.push_back(begin.Finish());
-    EventBuilder end("E", end_us, kPidPhasesWall, tid);
-    end.Name(n.name).Cat("phase");
-    events_.push_back(end.Finish());
+    if (n.perf.ipc() >= 0) begin.DoubleArg("ipc", n.perf.ipc());
+    begin.End();
+    Event(*this, "E", end_us, kPidPhasesWall, tid)
+        .Name(n.name)
+        .Cat("phase")
+        .End();
   } else {
     AddDuration(n.name, n.begin_ms * 1000.0, n.end_ms * 1000.0,
                 kPidPhasesWall, tid);
@@ -187,25 +241,43 @@ void ChromeTraceWriter::AddSpanTree(const TraceContext& ctx) {
 
 void ChromeTraceWriter::AddCounters(const CongestionTrace& trace) {
   const int dims = trace.dims();
+  // Series names are built and registered once, not per sample.
+  static constexpr const char* kFixed[] = {
+      "in_flight", "arrivals",  "moves",        "queue_p50",
+      "queue_p99", "queue_max", "injected",     "active_procs"};
+  std::vector<std::string> dim_names;
+  for (int dim = 0; dim < dims; ++dim) {
+    for (const char* dir : {"-", "+"}) {
+      dim_names.push_back("moves.dim" + std::to_string(dim) + dir);
+    }
+  }
+  bool active_seen = false;
+  std::size_t dim_series_seen = 0;
   for (const CongestionTrace::Sample& s : trace.samples()) {
     const double ts = static_cast<double>(s.step);
-    AddCounter("in_flight", ts, s.in_flight);
-    AddCounter("arrivals", ts, s.arrivals);
-    AddCounter("moves", ts, s.moves);
-    AddCounter("queue_p50", ts, s.queue_p50);
-    AddCounter("queue_p99", ts, s.queue_p99);
-    AddCounter("queue_max", ts, s.queue_max);
-    AddCounter("injected", ts, s.injected);
-    if (s.active_procs >= 0) AddCounter("active_procs", ts, s.active_procs);
-    for (int dim = 0; dim < dims; ++dim) {
-      for (int dir = 0; dir < 2; ++dir) {
-        const std::size_t idx = static_cast<std::size_t>(dim * 2 + dir);
-        if (idx >= s.dim_dir_moves.size()) continue;
-        std::ostringstream name;
-        name << "moves.dim" << dim << (dir == 0 ? "-" : "+");
-        AddCounter(name.str(), ts, s.dim_dir_moves[idx]);
-      }
+    AppendCounter(kFixed[0], ts, s.in_flight);
+    AppendCounter(kFixed[1], ts, s.arrivals);
+    AppendCounter(kFixed[2], ts, s.moves);
+    AppendCounter(kFixed[3], ts, s.queue_p50);
+    AppendCounter(kFixed[4], ts, s.queue_p99);
+    AppendCounter(kFixed[5], ts, s.queue_max);
+    AppendCounter(kFixed[6], ts, s.injected);
+    if (s.active_procs >= 0) {
+      AppendCounter(kFixed[7], ts, s.active_procs);
+      active_seen = true;
     }
+    const std::size_t series =
+        std::min(dim_names.size(), s.dim_dir_moves.size());
+    for (std::size_t idx = 0; idx < series; ++idx) {
+      AppendCounter(dim_names[idx], ts, s.dim_dir_moves[idx]);
+    }
+    dim_series_seen = std::max(dim_series_seen, series);
+  }
+  if (trace.samples().empty()) return;
+  for (int k = 0; k < 7; ++k) counter_names_.insert(kFixed[k]);
+  if (active_seen) counter_names_.insert(kFixed[7]);
+  for (std::size_t idx = 0; idx < dim_series_seen; ++idx) {
+    counter_names_.insert(dim_names[idx]);
   }
 }
 
@@ -230,14 +302,13 @@ void ChromeTraceWriter::AddWorkerActivity(const ThreadPoolActivity& activity) {
     for (const ThreadPoolActivity::Interval& iv : activity.lanes()[lane]) {
       const double begin_us = ToUs(iv.t0 - wall_origin_);
       const double end_us = ToUs(iv.t1 - wall_origin_);
-      EventBuilder ev("X", begin_us, kPidWorkers, tid);
-      ev.Name("parallel_for")
+      Event(*this, "X", begin_us, kPidWorkers, tid)
+          .Name("parallel_for")
           .Cat("dispatch")
-          .Dur(std::max(0.0, end_us - begin_us));
-      JsonWriter& args = ev.Args();
-      args.Key("items").Int(iv.end - iv.begin);
-      args.Key("begin").Int(iv.begin);
-      events_.push_back(ev.Finish());
+          .Dur(std::max(0.0, end_us - begin_us))
+          .IntArg("items", iv.end - iv.begin)
+          .IntArg("begin", iv.begin)
+          .End();
     }
   }
   if (activity.dropped() > 0) {
@@ -245,15 +316,22 @@ void ChromeTraceWriter::AddWorkerActivity(const ThreadPoolActivity& activity) {
   }
 }
 
+std::string ChromeTraceWriter::Head() const {
+  return "{\n\"displayTimeUnit\": \"ms\",\n\"metadata\": {\"manifest\": " +
+         manifest_.ToJson() + "},\n\"traceEvents\": [\n";
+}
+
+const char* ChromeTraceWriter::Tail() const {
+  return event_count_ > 0 ? "\n]}\n" : "]}\n";
+}
+
 void ChromeTraceWriter::Write(std::ostream& os) const {
-  os << "{\n\"displayTimeUnit\": \"ms\",\n\"metadata\": {\"manifest\": "
-     << manifest_.ToJson() << "},\n\"traceEvents\": [\n";
-  for (std::size_t i = 0; i < events_.size(); ++i) {
-    os << events_[i];
-    if (i + 1 < events_.size()) os << ',';
-    os << '\n';
-  }
-  os << "]}\n";
+  os << Head() << events_ << Tail();
+}
+
+bool ChromeTraceWriter::WriteAtomic(const std::string& path,
+                                    std::string* error) const {
+  return WriteFileAtomic(path, {Head(), events_, Tail()}, error);
 }
 
 void ChromeTraceWriter::WriteFile(const std::string& path) const {
@@ -264,7 +342,7 @@ void ChromeTraceWriter::WriteFile(const std::string& path) const {
     std::cerr << "error: failed writing --perfetto=" << path << '\n';
     std::exit(1);
   }
-  std::cerr << "ChromeTraceWriter: wrote " << events_.size()
+  std::cerr << "ChromeTraceWriter: wrote " << event_count_
             << " event(s) to " << path << '\n';
 }
 

@@ -34,9 +34,11 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/manifest.h"
@@ -93,7 +95,7 @@ class ChromeTraceWriter {
   /// file.
   void AddCounter(const std::string& series, double ts_us, std::int64_t value);
 
-  std::size_t event_count() const { return events_.size(); }
+  std::size_t event_count() const { return event_count_; }
   /// Distinct counter-series names emitted so far.
   std::size_t counter_track_count() const { return counter_names_.size(); }
 
@@ -102,16 +104,29 @@ class ChromeTraceWriter {
   void Write(std::ostream& os) const;
   /// Write() to `path` via OpenOutputFile (loud failure, exit 1).
   void WriteFile(const std::string& path) const;
+  /// Write() to `path` through WriteFileAtomic (util/atomic_file.h),
+  /// straight from the event buffer. False + *error on failure.
+  bool WriteAtomic(const std::string& path, std::string* error) const;
 
  private:
+  class Event;
+
   void AddMeta(const char* kind, int pid, int tid, const std::string& name);
   void AddDuration(const std::string& name, double begin_us, double end_us,
                    int pid, int tid);
   void AddSpanNode(const TraceContext& ctx, std::size_t node, int tid);
+  /// AddCounter without the track-name bookkeeping.
+  void AppendCounter(std::string_view series, double ts_us,
+                     std::int64_t value);
+  /// The document up to the first event, and from the last event on.
+  std::string Head() const;
+  const char* Tail() const;
 
   RunManifest manifest_;
-  std::vector<std::string> events_;  ///< serialized event objects
-  std::set<std::string> counter_names_;
+  /// Serialized event objects, each after the first preceded by ",\n".
+  std::string events_;
+  std::size_t event_count_ = 0;
+  std::set<std::string, std::less<>> counter_names_;
   bool have_wall_origin_ = false;
   std::chrono::steady_clock::time_point wall_origin_;
 };

@@ -8,6 +8,11 @@ namespace mdmesh {
 std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
+  AppendJsonEscaped(out, s);
+  return out;
+}
+
+void AppendJsonEscaped(std::string& out, std::string_view s) {
   for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -28,7 +33,6 @@ std::string JsonEscape(std::string_view s) {
         }
     }
   }
-  return out;
 }
 
 JsonWriter::JsonWriter(std::ostream& os, int indent)

@@ -21,6 +21,9 @@ namespace mdmesh {
 /// Escapes `s` for inclusion inside a JSON string literal (quotes excluded).
 std::string JsonEscape(std::string_view s);
 
+/// Appends JsonEscape(s) to `out` without building a temporary.
+void AppendJsonEscaped(std::string& out, std::string_view s);
+
 class JsonWriter {
  public:
   /// indent = 0 writes compact JSON; > 0 pretty-prints with that many

@@ -22,27 +22,30 @@ void SetError(std::string* error, const std::string& what) {
 
 #if !defined(_WIN32)
 
-bool WriteFileAtomic(const std::string& path, const void* data,
-                     std::size_t size, std::string* error) {
+bool WriteFileAtomic(const std::string& path,
+                     std::initializer_list<std::string_view> pieces,
+                     std::string* error) {
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
     SetError(error, "open " + tmp);
     return false;
   }
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::size_t left = size;
-  while (left > 0) {
-    const ssize_t n = ::write(fd, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      SetError(error, "write " + tmp);
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return false;
+  for (const std::string_view piece : pieces) {
+    const char* p = piece.data();
+    std::size_t left = piece.size();
+    while (left > 0) {
+      const ssize_t n = ::write(fd, p, left);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        SetError(error, "write " + tmp);
+        ::close(fd);
+        ::unlink(tmp.c_str());
+        return false;
+      }
+      p += n;
+      left -= static_cast<std::size_t>(n);
     }
-    p += n;
-    left -= static_cast<std::size_t>(n);
   }
   // Flush to stable storage before the rename: otherwise a crash can leave
   // the new name pointing at not-yet-durable bytes, which is exactly the
@@ -66,17 +69,35 @@ bool WriteFileAtomic(const std::string& path, const void* data,
   return true;
 }
 
+bool SyncDirectory(const std::string& dir, std::string* error) {
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) {
+    SetError(error, "open " + dir);
+    return false;
+  }
+  const bool ok = ::fsync(fd) == 0;
+  if (!ok) SetError(error, "fsync " + dir);
+  ::close(fd);
+  return ok;
+}
+
 #else  // _WIN32: stdio fallback, no fsync (the repo's CI targets POSIX).
 
-bool WriteFileAtomic(const std::string& path, const void* data,
-                     std::size_t size, std::string* error) {
+bool WriteFileAtomic(const std::string& path,
+                     std::initializer_list<std::string_view> pieces,
+                     std::string* error) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
     SetError(error, "open " + tmp);
     return false;
   }
-  const bool wrote = size == 0 || std::fwrite(data, 1, size, f) == size;
+  bool wrote = true;
+  for (const std::string_view piece : pieces) {
+    wrote = wrote && (piece.empty() ||
+                      std::fwrite(piece.data(), 1, piece.size(), f) ==
+                          piece.size());
+  }
   const bool closed = std::fclose(f) == 0;
   if (!wrote || !closed) {
     SetError(error, "write " + tmp);
@@ -92,11 +113,19 @@ bool WriteFileAtomic(const std::string& path, const void* data,
   return true;
 }
 
+bool SyncDirectory(const std::string&, std::string*) { return true; }
+
 #endif
+
+bool WriteFileAtomic(const std::string& path, const void* data,
+                     std::size_t size, std::string* error) {
+  return WriteFileAtomic(
+      path, {std::string_view(static_cast<const char*>(data), size)}, error);
+}
 
 bool WriteFileAtomic(const std::string& path, const std::string& data,
                      std::string* error) {
-  return WriteFileAtomic(path, data.data(), data.size(), error);
+  return WriteFileAtomic(path, {std::string_view(data)}, error);
 }
 
 }  // namespace mdmesh

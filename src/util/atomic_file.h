@@ -6,7 +6,9 @@
 #pragma once
 
 #include <cstddef>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 
 namespace mdmesh {
 
@@ -19,5 +21,15 @@ bool WriteFileAtomic(const std::string& path, const void* data,
 
 bool WriteFileAtomic(const std::string& path, const std::string& data,
                      std::string* error);
+
+/// Same, for the concatenation of `pieces`, written in order without first
+/// joining them into one buffer.
+bool WriteFileAtomic(const std::string& path,
+                     std::initializer_list<std::string_view> pieces,
+                     std::string* error);
+
+/// fsyncs directory `dir`, so that a file created or renamed in it survives
+/// a crash. WriteFileAtomic makes the new bytes durable, not the new name.
+bool SyncDirectory(const std::string& dir, std::string* error);
 
 }  // namespace mdmesh
