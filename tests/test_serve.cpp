@@ -8,9 +8,13 @@
 // reference runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -25,6 +29,7 @@
 #include "obs/probe.h"
 #include "obs/registry.h"
 #include "serve/http.h"
+#include "serve/journal.h"
 #include "serve/json_value.h"
 #include "serve/run_spec.h"
 #include "serve/scheduler.h"
@@ -882,6 +887,523 @@ TEST(RunScheduler, DrainAndRestartResumeByteIdentically) {
     EXPECT_EQ(dup_again.id, ids[0]);
     sched.Drain();
   }
+}
+
+// ---------------------------------------------------------------------------
+// Run journal: crash images, torn and corrupt tails, parent-format
+// snapshots, constant append cost, and a fresh root left untouched.
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os << bytes;
+}
+
+std::string Root(const std::string& dir, const char* file) {
+  return dir + "/" + file;
+}
+
+/// What a SIGKILL would leave of `live` right now, copied into `image`:
+/// the snapshot and journal, then whatever run directories can be read.
+void CopyCrashImage(const std::string& live, const std::string& image) {
+  std::filesystem::create_directories(image);
+  for (const char* file :
+       {RunScheduler::kQueueFile, RunScheduler::kJournalFile}) {
+    if (std::filesystem::exists(Root(live, file))) {
+      WriteBytes(Root(image, file), ReadBytes(Root(live, file)));
+    }
+  }
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(live, ec)) {
+    if (entry.is_directory(ec)) {
+      std::filesystem::copy(
+          entry.path(), image + "/" + entry.path().filename().string(),
+          std::filesystem::copy_options::recursive, ec);
+    }
+  }
+}
+
+/// Each frame's payload and byte offset, in file order.
+struct Frames {
+  std::vector<std::string> payloads;
+  std::vector<std::size_t> offsets;
+  JournalScan scan;
+};
+
+Frames ScanFile(const std::string& bytes) {
+  Frames f;
+  const auto* base = reinterpret_cast<const std::uint8_t*>(bytes.data());
+  f.scan = ScanJournal(base, bytes.size(), [&](std::string_view payload) {
+    f.payloads.emplace_back(payload);
+    const auto* at = reinterpret_cast<const std::uint8_t*>(payload.data());
+    f.offsets.push_back(static_cast<std::size_t>(at - base) -
+                        kJournalFrameHeaderSize);
+  });
+  return f;
+}
+
+std::uint64_t ReferenceHash(const RunSpec& spec) {
+  Topology topo(spec.d, spec.n, spec.torus ? Wrap::kTorus : Wrap::kMesh);
+  TrafficPattern pattern(topo, spec.pattern, spec.pattern_seed,
+                         spec.pattern_opts);
+  return RunOpenLoop(topo, pattern, spec.driver, spec.MakeEngineOptions())
+      .delivery_hash;
+}
+
+TEST(RunJournal, CrashImageRestoresEveryAcknowledgedRun) {
+  const std::string live = FreshDir("journal_live");
+  const std::string image = FreshDir("journal_image");
+  SchedulerOptions opts;
+  opts.artifacts_dir = live;
+  opts.workers = 1;
+  std::vector<RunSpec> specs = {QuickSpec(60), QuickSpec(61), LongSpec(62),
+                                QuickSpec(63), QuickSpec(64)};
+  std::vector<std::int64_t> ids;
+  std::vector<RunRecord> before;
+  {
+    RunScheduler sched(opts);
+    std::string error;
+    ASSERT_TRUE(sched.Start(&error)) << error;
+    // K = 2 completions, then a long run that holds the worker while two
+    // more queue behind it and duplicates land on a done and a queued run.
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const auto out = sched.Submit(specs[i]);
+      ASSERT_TRUE(out.accepted) << out.error;
+      ids.push_back(out.id);
+      if (i == 1) {
+        ASSERT_TRUE(sched.WaitIdle(30000));
+      }
+      if (i == 2) {
+        ASSERT_TRUE(
+            WaitForState(sched, out.id, RunState::kRunning, 15000));
+      }
+    }
+    ASSERT_TRUE(sched.Submit(specs[0]).deduped);
+    ASSERT_TRUE(sched.Submit(specs[3]).deduped);
+    before = sched.Snapshot();
+    ASSERT_EQ(before.size(), 5u);
+    ASSERT_EQ(before[2].state, RunState::kRunning)
+        << "the long run finished before the image was taken";
+    CopyCrashImage(live, image);
+    sched.Drain();
+  }
+
+  opts.artifacts_dir = image;
+  RunScheduler restored(opts);
+  std::string error;
+  ASSERT_TRUE(restored.Start(&error)) << error;
+  // Start compacted the replayed journal into queue.json before any worker
+  // ran: that snapshot is the restored state.
+  const JsonParseResult snap =
+      ParseJson(ReadBytes(Root(image, RunScheduler::kQueueFile)));
+  ASSERT_TRUE(snap.ok) << snap.error;
+  EXPECT_EQ(snap.value["next_id"].AsInt(), 6);
+  ASSERT_EQ(snap.value["runs"].Items().size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    const JsonValue& rv = snap.value["runs"].Items()[i];
+    const RunRecord& want = before[i];
+    EXPECT_EQ(rv["id"].AsInt(), want.id);
+    EXPECT_EQ(rv["dedup_hits"].AsInt(), want.dedup_hits) << "run " << want.id;
+    EXPECT_EQ(rv["delivery_hash"].AsUInt(), want.delivery_hash);
+    if (want.state == RunState::kRunning) {
+      EXPECT_EQ(rv["state"].AsString(), "queued");
+      EXPECT_TRUE(rv["resume_pending"].AsBool());
+    } else {
+      EXPECT_EQ(rv["state"].AsString(), RunStateName(want.state));
+    }
+  }
+  EXPECT_EQ(before[0].dedup_hits, 1);
+  EXPECT_EQ(before[3].dedup_hits, 1);
+
+  ASSERT_TRUE(restored.WaitIdle(120000));
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    RunRecord rec;
+    ASSERT_TRUE(restored.Get(ids[i], &rec));
+    EXPECT_EQ(rec.state, RunState::kDone) << "run " << ids[i];
+    EXPECT_EQ(rec.delivery_hash, ReferenceHash(specs[i])) << "run " << ids[i];
+  }
+  // next_id survived: the next unique spec gets the next id.
+  const auto next = restored.Submit(QuickSpec(65));
+  ASSERT_TRUE(next.accepted) << next.error;
+  EXPECT_EQ(next.id, 6);
+  restored.Drain();
+}
+
+// A root whose journal ends in a dedup hit on a done run: the last frame's
+// only effect is that run's dedup_hits going from 0 to 1.
+struct DedupTailImage {
+  std::string snapshot;
+  std::string journal;
+  std::int64_t id = -1;
+  std::uint64_t hash = 0;
+};
+
+DedupTailImage MakeDedupTailImage(const std::string& name) {
+  SchedulerOptions opts;
+  opts.artifacts_dir = FreshDir(name);
+  opts.workers = 1;
+  RunScheduler sched(opts);
+  std::string error;
+  EXPECT_TRUE(sched.Start(&error)) << error;
+  DedupTailImage img;
+  img.id = sched.Submit(QuickSpec(70)).id;
+  sched.Submit(QuickSpec(71));
+  EXPECT_TRUE(sched.WaitIdle(30000));
+  EXPECT_TRUE(sched.Submit(QuickSpec(70)).deduped);
+  RunRecord rec;
+  EXPECT_TRUE(sched.Get(img.id, &rec));
+  img.hash = rec.delivery_hash;
+  img.snapshot = ReadBytes(Root(opts.artifacts_dir, RunScheduler::kQueueFile));
+  img.journal =
+      ReadBytes(Root(opts.artifacts_dir, RunScheduler::kJournalFile));
+  sched.Drain();
+  return img;
+}
+
+/// Restores `snapshot` + `journal` in `dir` and returns run `id`'s record
+/// (id -1 when absent) and the total record count.
+std::pair<RunRecord, std::size_t> RestoreImage(const std::string& dir,
+                                               const std::string& snapshot,
+                                               const std::string& journal,
+                                               std::int64_t id) {
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  WriteBytes(Root(dir.c_str(), RunScheduler::kQueueFile), snapshot);
+  WriteBytes(Root(dir.c_str(), RunScheduler::kJournalFile), journal);
+  SchedulerOptions opts;
+  opts.artifacts_dir = dir;
+  opts.workers = 1;
+  RunScheduler sched(opts);
+  std::string error;
+  EXPECT_TRUE(sched.Start(&error)) << error;
+  RunRecord rec;
+  sched.Get(id, &rec);
+  const std::size_t count = sched.Snapshot().size();
+  sched.Drain();
+  return {rec, count};
+}
+
+TEST(RunJournal, TornTailDropsOnlyTheTornFrame) {
+  const DedupTailImage img = MakeDedupTailImage("journal_torn_src");
+  const Frames frames = ScanFile(img.journal);
+  ASSERT_TRUE(frames.scan.stop_reason.empty()) << frames.scan.stop_reason;
+  ASSERT_GE(frames.offsets.size(), 7u);  // 2 x (submit, running, done) + hit
+  const std::size_t last = frames.offsets.back();
+  ASSERT_NE(frames.payloads.back().find("\"dedup_hits\":1"),
+            std::string::npos);
+
+  const std::string dir = TempDir() + "journal_torn";
+  const auto whole = RestoreImage(dir, img.snapshot, img.journal, img.id);
+  EXPECT_EQ(whole.first.dedup_hits, 1);
+  // Every cut from the frame's first byte to its last: the earlier frames
+  // all replay, the torn one does not.
+  for (std::size_t cut = last; cut < img.journal.size(); ++cut) {
+    const std::string torn = img.journal.substr(0, cut);
+    const Frames scanned = ScanFile(torn);
+    ASSERT_EQ(scanned.scan.frames, frames.offsets.size() - 1) << cut;
+    ASSERT_EQ(scanned.scan.dropped_bytes, cut - last) << cut;
+    const auto got = RestoreImage(dir, img.snapshot, torn, img.id);
+    ASSERT_EQ(got.second, 2u) << "cut at byte " << cut;
+    ASSERT_EQ(got.first.state, RunState::kDone) << cut;
+    ASSERT_EQ(got.first.dedup_hits, 0) << cut;
+    ASSERT_EQ(got.first.delivery_hash, img.hash) << cut;
+    // The restore replaced the torn journal with a clean one.
+    const Frames after =
+        ScanFile(ReadBytes(Root(dir.c_str(), RunScheduler::kJournalFile)));
+    ASSERT_EQ(after.scan.dropped_bytes, 0u) << cut;
+  }
+}
+
+TEST(RunJournal, CorruptPayloadIsRejectedByItsCrc) {
+  const DedupTailImage img = MakeDedupTailImage("journal_crc_src");
+  const Frames frames = ScanFile(img.journal);
+  const std::size_t last = frames.offsets.back();
+  std::string corrupt = img.journal;
+  corrupt[last + kJournalFrameHeaderSize + 10] ^= 0x20;
+  const Frames scanned = ScanFile(corrupt);
+  EXPECT_EQ(scanned.scan.frames, frames.offsets.size() - 1);
+  EXPECT_EQ(scanned.scan.stop_reason, "frame CRC mismatch");
+  EXPECT_EQ(scanned.scan.dropped_bytes, img.journal.size() - last);
+  const auto got = RestoreImage(TempDir() + "journal_crc", img.snapshot,
+                                corrupt, img.id);
+  EXPECT_EQ(got.first.dedup_hits, 0);
+  EXPECT_EQ(got.first.delivery_hash, img.hash);
+
+  // A flipped byte in the header is a foreign file, not a torn tail.
+  std::string foreign = img.journal;
+  foreign[0] = 'X';
+  EXPECT_FALSE(ScanFile(foreign).scan.header_ok);
+  const std::string dir = FreshDir("journal_foreign");
+  std::filesystem::create_directories(dir);
+  WriteBytes(Root(dir.c_str(), RunScheduler::kJournalFile), foreign);
+  SchedulerOptions opts;
+  opts.artifacts_dir = dir;
+  RunScheduler sched(opts);
+  std::string error;
+  EXPECT_FALSE(sched.Start(&error));
+  EXPECT_NE(error.find("bad magic"), std::string::npos) << error;
+}
+
+TEST(RunJournal, ParentQueueJsonRestoresWithoutAJournal) {
+  // queue.json as the scheduler wrote it before the journal existed: every
+  // record through WriteRunRecordJson, results included.
+  const std::string dir = FreshDir("journal_compat");
+  std::filesystem::create_directories(dir);
+  std::vector<RunRecord> recs(5);
+  const RunSpec specs[5] = {QuickSpec(80), QuickSpec(81), QuickSpec(82),
+                            QuickSpec(83), QuickSpec(84)};
+  const RunState states[5] = {RunState::kDone, RunState::kInterrupted,
+                              RunState::kFailed, RunState::kDone,
+                              RunState::kQueued};
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    RunRecord& r = recs[i];
+    r.id = static_cast<std::int64_t>(i) + 1;
+    r.spec = specs[i];
+    r.state = states[i];
+    r.fingerprint = specs[i].Fingerprint();
+    r.artifact_dir = dir + "/run-" + std::to_string(r.id);
+  }
+  recs[0].dedup_hits = 2;
+  recs[0].has_result = true;
+  recs[0].delivery_hash = 0x1234abcd5678ef00ull;
+  recs[1].resume_pending = true;
+  recs[2].error = "run aborted: step_cap at step 1";
+  recs[3].evicted = true;
+  recs[3].artifact_dir.clear();
+  recs[3].delivery_hash = 77;
+  std::ostringstream os;
+  JsonWriter w(os, 1);
+  w.BeginObject();
+  w.Key("next_id").Int(6);
+  w.Key("runs").BeginArray();
+  for (const RunRecord& r : recs) WriteRunRecordJson(r, w);
+  w.EndArray();
+  w.EndObject();
+  os << '\n';
+  const std::string parent = os.str();
+  ASSERT_NE(parent.find("\"result\": {"), std::string::npos);
+  WriteBytes(Root(dir.c_str(), RunScheduler::kQueueFile), parent);
+
+  SchedulerOptions opts;
+  opts.artifacts_dir = dir;
+  opts.workers = 1;
+  RunScheduler sched(opts);
+  std::string error;
+  ASSERT_TRUE(sched.Start(&error)) << error;
+  ASSERT_TRUE(sched.WaitIdle(60000));
+  RunRecord rec;
+  ASSERT_TRUE(sched.Get(1, &rec));
+  EXPECT_EQ(rec.state, RunState::kDone);
+  EXPECT_EQ(rec.dedup_hits, 2);
+  EXPECT_EQ(rec.delivery_hash, 0x1234abcd5678ef00ull);
+  ASSERT_TRUE(sched.Get(2, &rec));  // interrupted: ran again from scratch
+  EXPECT_EQ(rec.state, RunState::kDone);
+  EXPECT_EQ(rec.delivery_hash, ReferenceHash(specs[1]));
+  ASSERT_TRUE(sched.Get(3, &rec));
+  EXPECT_EQ(rec.state, RunState::kFailed);
+  EXPECT_EQ(rec.error, recs[2].error);
+  ASSERT_TRUE(sched.Get(4, &rec));
+  EXPECT_TRUE(rec.evicted);
+  EXPECT_TRUE(rec.artifact_dir.empty());
+  ASSERT_TRUE(sched.Get(5, &rec));
+  EXPECT_EQ(rec.state, RunState::kDone);
+  EXPECT_EQ(rec.delivery_hash, ReferenceHash(specs[4]));
+  // Dedup and next_id: a done fingerprint dedups, a failed one runs again
+  // under the next id.
+  EXPECT_TRUE(sched.Submit(specs[0]).deduped);
+  const auto retry = sched.Submit(specs[2]);
+  EXPECT_FALSE(retry.deduped);
+  EXPECT_EQ(retry.id, 6);
+  // The runs since Start went to the journal; the snapshot is untouched
+  // until compaction.
+  EXPECT_EQ(ReadBytes(Root(dir.c_str(), RunScheduler::kQueueFile)), parent);
+  EXPECT_TRUE(
+      std::filesystem::exists(Root(dir.c_str(), RunScheduler::kJournalFile)));
+  sched.Drain();
+  EXPECT_NE(ReadBytes(Root(dir.c_str(), RunScheduler::kQueueFile)), parent);
+}
+
+std::string WithoutDigits(std::string s) {
+  s.erase(std::remove_if(s.begin(), s.end(),
+                         [](char c) { return c >= '0' && c <= '9'; }),
+          s.end());
+  return s;
+}
+
+TEST(RunJournal, SubmissionCostDoesNotGrowWithRecords) {
+  const std::string dir = FreshDir("journal_o1");
+  SchedulerOptions opts;
+  opts.artifacts_dir = dir;
+  opts.workers = 1;
+  opts.queue_limit = 256;
+  RunScheduler sched(opts);
+  std::string error;
+  ASSERT_TRUE(sched.Start(&error)) << error;
+  const std::string journal = Root(dir.c_str(), RunScheduler::kJournalFile);
+  const std::string queue = Root(dir.c_str(), RunScheduler::kQueueFile);
+  // Same-shape specs: the first holds the worker, so every later
+  // submission appends exactly its own frame.
+  std::vector<std::uintmax_t> appended;
+  std::string snapshot_after_first;
+  std::uintmax_t size = 0;
+  for (std::uint64_t k = 0; k < 200; ++k) {
+    const auto out = sched.Submit(LongSpec(100 + k));
+    ASSERT_TRUE(out.accepted) << out.error;
+    ASSERT_FALSE(out.deduped);
+    if (k == 0) {
+      ASSERT_TRUE(WaitForRunning(sched, 15000));
+      snapshot_after_first = ReadBytes(queue);
+    }
+    const std::uintmax_t now = std::filesystem::file_size(journal);
+    appended.push_back(now - size);
+    size = now;
+  }
+  // Nothing rewrote queue.json after the initial snapshot.
+  EXPECT_EQ(ReadBytes(queue), snapshot_after_first);
+  RunRecord running;
+  ASSERT_TRUE(sched.Get(1, &running));
+  ASSERT_EQ(running.state, RunState::kRunning)
+      << "the first run finished while submissions were being timed";
+
+  const Frames frames = ScanFile(ReadBytes(journal));
+  std::string first;
+  std::string last;
+  for (const std::string& payload : frames.payloads) {
+    if (payload.rfind("{\"id\":1,", 0) == 0 && first.empty()) first = payload;
+    if (payload.rfind("{\"id\":200,", 0) == 0) last = payload;
+  }
+  ASSERT_FALSE(first.empty());
+  ASSERT_FALSE(last.empty());
+  EXPECT_EQ(WithoutDigits(first), WithoutDigits(last));
+  // The 200th submission appended one frame of the 1st one's shape: the
+  // same bytes apart from digit width (ids, fingerprints).
+  EXPECT_EQ(appended.back(), kJournalFrameHeaderSize + last.size());
+  const auto first_bytes = static_cast<std::intmax_t>(first.size());
+  const auto last_bytes = static_cast<std::intmax_t>(last.size());
+  EXPECT_LE(std::abs(last_bytes - first_bytes), 24) << first << "\n" << last;
+  sched.Drain();
+}
+
+TEST(RunJournal, FreshStartWritesNothing) {
+  const std::string dir = FreshDir("journal_fresh");
+  std::filesystem::create_directories(dir);
+  SchedulerOptions opts;
+  opts.artifacts_dir = dir;
+  RunScheduler sched(opts);
+  std::string error;
+  ASSERT_TRUE(sched.Start(&error)) << error;
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  sched.Drain();
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+}
+
+TEST(RunJournal, CrashAtAnyInstantOfACompactionRestoresTheSameRecords) {
+  const std::string live = FreshDir("journal_compact_live");
+  SchedulerOptions opts;
+  opts.artifacts_dir = live;
+  opts.workers = 1;
+  std::string s0, j0, s1, j1;
+  {
+    RunScheduler sched(opts);
+    std::string error;
+    ASSERT_TRUE(sched.Start(&error)) << error;
+    for (std::uint64_t seed = 40; seed < 43; ++seed) {
+      ASSERT_TRUE(sched.Submit(QuickSpec(seed)).accepted);
+    }
+    ASSERT_TRUE(sched.WaitIdle(30000));
+    ASSERT_TRUE(sched.Submit(QuickSpec(40)).deduped);
+    ASSERT_TRUE(sched.Submit(QuickSpec(42)).deduped);
+    s0 = ReadBytes(Root(live.c_str(), RunScheduler::kQueueFile));
+    j0 = ReadBytes(Root(live.c_str(), RunScheduler::kJournalFile));
+    sched.Drain();  // compaction: s0 + j0 -> s1 + j1
+    s1 = ReadBytes(Root(live.c_str(), RunScheduler::kQueueFile));
+    j1 = ReadBytes(Root(live.c_str(), RunScheduler::kJournalFile));
+  }
+  ASSERT_GT(ScanFile(j0).scan.frames, 0u);
+  ASSERT_EQ(ScanFile(j1).scan.frames, 0u);
+  ASSERT_NE(s0, s1);
+
+  // The files a crash can leave, step by step through a compaction: the
+  // snapshot's temp file half-written, the snapshot renamed, the new
+  // journal's temp file written, and the journal renamed.
+  struct Image {
+    const char* when;
+    std::string snapshot, journal, snapshot_tmp, journal_tmp;
+  };
+  const std::vector<Image> images = {
+      {"before", s0, j0, "", ""},
+      {"snapshot half-written", s0, j0, s1.substr(0, s1.size() / 2), ""},
+      {"snapshot renamed", s1, j0, "", ""},
+      {"new journal written", s1, j0, "", j1},
+      {"new journal half-written", s1, j0, "", j1.substr(0, 5)},
+      {"journal renamed", s1, j1, "", ""},
+  };
+  const std::string dir = TempDir() + "journal_compact_image";
+  for (const Image& img : images) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    WriteBytes(Root(dir.c_str(), RunScheduler::kQueueFile), img.snapshot);
+    WriteBytes(Root(dir.c_str(), RunScheduler::kJournalFile), img.journal);
+    if (!img.snapshot_tmp.empty()) {
+      WriteBytes(dir + "/queue.json.tmp", img.snapshot_tmp);
+    }
+    if (!img.journal_tmp.empty()) {
+      WriteBytes(dir + "/queue.journal.tmp", img.journal_tmp);
+    }
+    opts.artifacts_dir = dir;
+    RunScheduler sched(opts);
+    std::string error;
+    ASSERT_TRUE(sched.Start(&error)) << img.when << ": " << error;
+    // Every image restores the drained state: the snapshot Start leaves
+    // (compacted where the journal held frames) is s1, byte for byte.
+    EXPECT_EQ(ReadBytes(Root(dir.c_str(), RunScheduler::kQueueFile)), s1)
+        << img.when;
+    sched.Drain();
+  }
+}
+
+TEST(RunJournal, CompactsOnceTheJournalOutgrowsItsRecords) {
+  const std::string dir = FreshDir("journal_threshold");
+  const std::string image = FreshDir("journal_threshold_image");
+  SchedulerOptions opts;
+  opts.artifacts_dir = dir;
+  opts.workers = 1;
+  constexpr int kHits = 20;
+  {
+    RunScheduler sched(opts);
+    std::string error;
+    ASSERT_TRUE(sched.Start(&error)) << error;
+    ASSERT_TRUE(sched.Submit(QuickSpec(90)).accepted);
+    ASSERT_TRUE(sched.WaitIdle(30000));
+    // One record, then a frame per hit: the journal outgrows
+    // kCompactFramesPerRecord frames per record and folds into queue.json.
+    for (int i = 0; i < kHits; ++i) {
+      ASSERT_TRUE(sched.Submit(QuickSpec(90)).deduped);
+    }
+    const Frames frames =
+        ScanFile(ReadBytes(Root(dir.c_str(), RunScheduler::kJournalFile)));
+    EXPECT_LE(frames.scan.frames, RunScheduler::kCompactFramesPerRecord + 1);
+    const JsonParseResult snap =
+        ParseJson(ReadBytes(Root(dir.c_str(), RunScheduler::kQueueFile)));
+    ASSERT_TRUE(snap.ok) << snap.error;
+    EXPECT_GT(snap.value["runs"].Items()[0]["dedup_hits"].AsInt(), 0);
+    CopyCrashImage(dir, image);
+    sched.Drain();
+  }
+  opts.artifacts_dir = image;
+  RunScheduler restored(opts);
+  std::string error;
+  ASSERT_TRUE(restored.Start(&error)) << error;
+  RunRecord rec;
+  ASSERT_TRUE(restored.Get(1, &rec));
+  EXPECT_EQ(rec.dedup_hits, kHits);
+  restored.Drain();
 }
 
 // ---------------------------------------------------------------------------
