@@ -65,6 +65,16 @@ format version, flags, payload size, payload CRC — and the checksum is
 the zlib/binascii.crc32 variant by construction. Accepts files or
 directories (a directory validates every ckpt-*.mdc in it).
 
+The validate-journal subcommand integrity-checks an experiment-service
+run journal (<root>/queue.journal, format src/serve/journal.h) the same
+way: the 12-byte header is struct.unpack("<8sI") — magic "MDMJRNL1" and
+format version — and each frame is "<II" (payload size, payload CRC)
+followed by the payload, checked with binascii.crc32. It reports the
+frame count, the bytes, and any torn or corrupt tail (bytes after the
+last valid frame, which a restore drops); --allow-torn-tail accepts such
+a tail, as a killed server can leave one, and --min-frames pins a floor.
+A directory argument validates its queue.journal.
+
 The validate-digests subcommand checks mdmesh_bench result files (one
 workload each, written with --out) against benchmark/baseline.json: a
 file run at the baseline's digest seed must carry exactly the recorded
@@ -79,6 +89,8 @@ Usage:
     check_perf_regression.py validate-prom TEXT [--require NAME ...]
     check_perf_regression.py validate-flight DUMP [--expect-reason R]
     check_perf_regression.py validate-ckpt PATH... [--min-files N]
+    check_perf_regression.py validate-journal PATH [--min-frames N]
+                                              [--allow-torn-tail]
     check_perf_regression.py validate-journeys JSONL [--min-journeys N]
     check_perf_regression.py validate-digests RESULT... --baseline B
 
@@ -630,6 +642,81 @@ def validate_ckpt(argv):
     print(f"all {len(files)} checkpoint file(s) valid")
 
 
+JOURNAL_MAGIC = b"MDMJRNL1"
+JOURNAL_VERSION = 1
+JOURNAL_HEADER = struct.Struct("<8sI")  # magic, version
+JOURNAL_FRAME = struct.Struct("<II")  # payload size, payload crc
+
+
+def scan_journal(blob):
+    """Returns (payloads, valid_bytes, problem) for a journal image: the
+    valid frames' payloads in order, the bytes they and the header span,
+    and None for a clean file, else why the scan stopped. Raises
+    ValueError for a file that is not a run journal."""
+    if len(blob) < JOURNAL_HEADER.size:
+        return [], 0, (
+            f"torn header ({len(blob)} of {JOURNAL_HEADER.size} bytes)")
+    magic, version = JOURNAL_HEADER.unpack_from(blob)
+    if magic != JOURNAL_MAGIC:
+        raise ValueError(f"bad magic {magic!r}")
+    if version != JOURNAL_VERSION:
+        raise ValueError(f"version {version}, expected {JOURNAL_VERSION}")
+    pos = JOURNAL_HEADER.size
+    payloads = []
+    while pos < len(blob):
+        if len(blob) - pos < JOURNAL_FRAME.size:
+            return payloads, pos, "torn frame header"
+        size, crc = JOURNAL_FRAME.unpack_from(blob, pos)
+        start = pos + JOURNAL_FRAME.size
+        payload = blob[start:start + size]
+        if len(payload) < size:
+            return payloads, pos, (
+                f"torn frame ({size}-byte payload, {len(payload)} on disk)")
+        if binascii.crc32(payload) != crc:
+            return payloads, pos, (
+                f"frame CRC {binascii.crc32(payload):08x} != {crc:08x}")
+        payloads.append(payload)
+        pos = start + size
+    return payloads, pos, None
+
+
+def validate_journal(argv):
+    ap = argparse.ArgumentParser(
+        prog="check_perf_regression.py validate-journal",
+        description="Integrity-check an experiment-service run journal "
+        "(header, frame framing + CRC-32, no C++ needed).",
+    )
+    ap.add_argument("path", help="queue.journal, or the service's root dir")
+    ap.add_argument("--min-frames", type=int, default=0,
+                    help="fail unless at least this many valid frames")
+    ap.add_argument("--allow-torn-tail", action="store_true",
+                    help="accept bytes after the last valid frame (what a "
+                    "killed server can leave; a restore drops them)")
+    args = ap.parse_args(argv)
+    path = args.path
+    if os.path.isdir(path):
+        path = os.path.join(path, "queue.journal")
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as e:
+        sys.exit(f"{path}: unreadable: {e}")
+    try:
+        payloads, valid, problem = scan_journal(blob)
+    except ValueError as e:
+        sys.exit(f"  FAIL  {path}: {e}")
+    frames = len(payloads)
+    torn = len(blob) - valid
+    print(f"{path}: {frames} frame(s), {len(blob)} byte(s)"
+          + (f"; torn tail: {torn} byte(s) from byte {valid} ({problem})"
+             if problem else "; no torn tail"))
+    if frames < args.min_frames:
+        sys.exit(f"  FAIL  {path}: {frames} frame(s), need {args.min_frames}")
+    if problem and not args.allow_torn_tail:
+        sys.exit(f"  FAIL  {path}: {problem}")
+    print(f"journal valid: {frames} frame(s) CRC verified")
+
+
 def validate_digests(argv):
     ap = argparse.ArgumentParser(
         prog="check_perf_regression.py validate-digests",
@@ -679,6 +766,9 @@ def main():
         return
     if len(sys.argv) > 1 and sys.argv[1] == "validate-ckpt":
         validate_ckpt(sys.argv[2:])
+        return
+    if len(sys.argv) > 1 and sys.argv[1] == "validate-journal":
+        validate_journal(sys.argv[2:])
         return
     if len(sys.argv) > 1 and sys.argv[1] == "validate-trace":
         validate_trace(sys.argv[2:])

@@ -26,6 +26,18 @@ Sequence:
   4. resume:   --checkpoint=DIR --resume, record delivery_hash
   5. verdict:  hashes equal -> exit 0, else exit 1
 
+--service runs the experiment service's drill instead (src/serve/): it
+starts experiment_server, streams seeded submissions (a quarter of them
+repeating an earlier spec) through serve_client.py's request helper, and
+SIGKILLs the server after a seeded number of 202 replies, while
+submissions are still arriving. It checks what the kill left on disk
+(validate-journal, allowing a torn tail; a copy is kept as
+killed-queue.journal in the work directory) and fails unless an
+acknowledged run was still unfinished there. It then restarts the server
+on the same root, sends the remaining submissions, and requires every
+acknowledged id to finish done with the delivery_hash of a direct
+workload_demo run of its spec.
+
 Stdlib only. Exit codes propagate the real failure signal: when a child run
 fails, the drill exits with the child's own exit code (128+N for a
 signal-killed child, shell style) rather than a generic 1, so CI logs show
@@ -37,10 +49,13 @@ Usage:
     crash_drill.py [--binary BUILD/examples/workload_demo]
                    [--d 3 --n 16 --warmup 50 --measure 300 --rate-pm 100]
                    [--every 25] [--seed 1] [--corrupt-newest]
+    crash_drill.py --service [--server BUILD/examples/experiment_server]
+                   [--binary BUILD/examples/workload_demo] [--seed 1]
 """
 
 import argparse
 import atexit
+import json
 import os
 import random
 import shutil
@@ -49,6 +64,18 @@ import subprocess
 import sys
 import tempfile
 import time
+
+from check_perf_regression import scan_journal
+from serve_client import request
+
+# The service drill's submission stream: every spec is a 2D n=8 uniform
+# open-loop run long enough (about 0.2 s) that the kill finds work in
+# flight; a quarter of the submissions repeat an earlier spec.
+SERVICE_SUBMISSIONS = 14
+SERVICE_REPEAT_SHARE = 0.25
+SERVICE_WARMUP = 50
+SERVICE_MEASURE = 20000
+SERVICE_RATE_PM = 100
 
 
 def extract_hash(stdout, label):
@@ -85,15 +112,185 @@ def count_checkpoints(ckpt_dir):
     )
 
 
+def service_spec(seed):
+    """The RunSpec JSON that serve_client.py submit builds for a seed."""
+    return {
+        "topology": {"d": 2, "n": 8, "torus": False},
+        "pattern": {"kind": "uniform", "seed": seed},
+        "driver": {
+            "rate": SERVICE_RATE_PM / 1000.0,
+            "warmup": SERVICE_WARMUP,
+            "measure": SERVICE_MEASURE,
+            "drain": True,
+            "seed": seed,
+        },
+    }
+
+
+def start_server(server, root, port_file, log, timeout):
+    if os.path.exists(port_file):
+        os.remove(port_file)
+    proc = subprocess.Popen(
+        [server, f"--artifacts={root}", "--workers=2",
+         f"--port-file={port_file}"],
+        stdout=log, stderr=log,
+    )
+    deadline = time.monotonic() + timeout
+    while not (os.path.exists(port_file) and os.path.getsize(port_file)):
+        if proc.poll() is not None:
+            sys.exit(f"experiment_server exited {proc.returncode} at start")
+        if time.monotonic() > deadline:
+            proc.kill()
+            sys.exit("experiment_server never published its port")
+        time.sleep(0.01)
+    with open(port_file) as f:
+        return proc, int(f.read())
+
+
+def persisted_runs(root):
+    """Each run's last persisted record, as a restore replays them:
+    queue.json, then the journal's valid frames (last frame per id wins)."""
+    runs = {}
+    snapshot = os.path.join(root, "queue.json")
+    if os.path.exists(snapshot):
+        with open(snapshot) as f:
+            for rec in json.load(f)["runs"]:
+                runs[rec["id"]] = rec
+    journal = os.path.join(root, "queue.journal")
+    if os.path.exists(journal):
+        with open(journal, "rb") as f:
+            payloads, _, _ = scan_journal(f.read())
+        for payload in payloads:
+            rec = json.loads(payload)
+            runs[rec["id"]] = rec
+    return runs
+
+
+def submit(port, seed):
+    status, body = request(port, "POST", "/runs",
+                           json.dumps(service_spec(seed)))
+    if status != 202:
+        sys.exit(f"FAIL: POST /runs returned {status}: {body}")
+    return json.loads(body)
+
+
+def service_drill(args, workdir):
+    for binary in (args.server, args.binary):
+        if not os.path.exists(binary):
+            sys.exit(f"binary not found: {binary} (build the tree first)")
+    root = os.path.join(workdir, "service")
+    shutil.rmtree(root, ignore_errors=True)
+    port_file = os.path.join(workdir, "port.txt")
+
+    rng = random.Random(args.seed)
+    unique = []
+    seeds = []
+    for _ in range(SERVICE_SUBMISSIONS):
+        if unique and rng.random() < SERVICE_REPEAT_SHARE:
+            seeds.append(rng.choice(unique))
+        else:
+            unique.append(1000 * args.seed + len(unique) + 1)
+            seeds.append(unique[-1])
+    kill_after = rng.randint(3, SERVICE_SUBMISSIONS - 3)
+
+    # Uninterrupted references, one direct run per unique spec.
+    want = {}
+    for seed in unique:
+        ref = run_to_completion([
+            args.binary, "--d=2", "--n=8", "--pattern=uniform",
+            f"--rate-pm={SERVICE_RATE_PM}", f"--warmup={SERVICE_WARMUP}",
+            f"--measure={SERVICE_MEASURE}", "--drain", f"--seed={seed}",
+        ], f"reference seed {seed}")
+        want[seed] = extract_hash(ref.stdout, f"reference seed {seed}")
+    print(f"{len(unique)} unique spec(s) over {SERVICE_SUBMISSIONS} "
+          f"submission(s); SIGKILL after {kill_after} acknowledged")
+
+    acked = []  # (run id, seed) per 202
+    with open(os.path.join(workdir, "server.log"), "w") as log:
+        proc, port = start_server(args.server, root, port_file, log,
+                                  args.timeout)
+        for seed in seeds[:kill_after]:
+            acked.append((submit(port, seed)["id"], seed))
+        proc.kill()  # SIGKILL mid-stream: no drain, no compaction
+        proc.wait()
+        if proc.returncode != -signal.SIGKILL:
+            sys.exit(f"FAIL: server exited on its own ({proc.returncode}) "
+                     f"before the SIGKILL landed")
+
+        # What the kill left on disk.
+        journal = os.path.join(root, "queue.journal")
+        shutil.copyfile(journal,
+                        os.path.join(workdir, "killed-queue.journal"))
+        check = subprocess.run([
+            sys.executable,
+            os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         "check_perf_regression.py"),
+            "validate-journal", journal, "--allow-torn-tail",
+            "--min-frames", "1",
+        ])
+        if check.returncode != 0:
+            sys.exit("FAIL: the killed server's journal does not validate")
+        runs = persisted_runs(root)
+        ids = sorted({run_id for run_id, _ in acked})
+        lost = [i for i in ids if i not in runs]
+        if lost:
+            sys.exit(f"FAIL: acknowledged run(s) {lost} not on disk")
+        unfinished = [i for i in ids
+                      if runs[i]["state"] not in ("done", "failed")]
+        if not unfinished:
+            sys.exit("FAIL: every acknowledged run had finished before the "
+                     "SIGKILL landed; the kill exercised nothing")
+        print(f"server killed with run(s) {unfinished} of {ids} unfinished")
+
+        # Restart on the same root and stream the rest.
+        proc, port = start_server(args.server, root, port_file, log,
+                                  args.timeout)
+        try:
+            for seed in seeds[kill_after:]:
+                acked.append((submit(port, seed)["id"], seed))
+            deadline = time.monotonic() + args.timeout
+            for run_id, seed in acked:
+                while True:
+                    status, body = request(port, "GET", f"/runs/{run_id}")
+                    if status != 200:
+                        sys.exit(f"FAIL: run {run_id} lost across the "
+                                 f"restart: {status} {body}")
+                    rec = json.loads(body)
+                    if rec["state"] in ("done", "failed"):
+                        break
+                    if time.monotonic() > deadline:
+                        sys.exit(f"FAIL: run {run_id} still {rec['state']}")
+                    time.sleep(0.05)
+                got = f"{rec['delivery_hash']:016x}"
+                if rec["state"] != "done" or got != want[seed]:
+                    sys.exit(f"FAIL: run {run_id} (seed {seed}) ended "
+                             f"{rec['state']} with delivery_hash {got}, "
+                             f"want {want[seed]}")
+        finally:
+            proc.terminate()
+            proc.wait()
+    print(f"ok: all {len(acked)} acknowledged submission(s) finished done "
+          f"with their reference delivery hashes")
+
+
 def main():
+    here = os.path.dirname(os.path.abspath(__file__))
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument(
         "--binary",
         default=os.path.join(
-            os.path.dirname(os.path.abspath(__file__)),
-            os.pardir, "build", "examples", "workload_demo",
+            here, os.pardir, "build", "examples", "workload_demo",
         ),
         help="workload_demo binary (default: ../build/examples/)",
+    )
+    ap.add_argument("--service", action="store_true",
+                    help="run the experiment service's drill instead")
+    ap.add_argument(
+        "--server",
+        default=os.path.join(
+            here, os.pardir, "build", "examples", "experiment_server",
+        ),
+        help="experiment_server binary, for --service",
     )
     ap.add_argument("--d", type=int, default=3)
     ap.add_argument("--n", type=int, default=16)
@@ -126,6 +323,9 @@ def main():
         atexit.register(shutil.rmtree, scratch, ignore_errors=True)
     workdir = args.workdir or scratch
     os.makedirs(workdir, exist_ok=True)
+    if args.service:
+        service_drill(args, workdir)
+        return
     ckpt_dir = os.path.join(workdir, "ckpt")
     shutil.rmtree(ckpt_dir, ignore_errors=True)
 
