@@ -49,12 +49,20 @@ const char* StallReasonLabel(StallReason reason) {
   return "unknown";
 }
 
+/// False when `path` cannot be opened. Plain open(2): Start probes two
+/// files that a fresh root does not have, and a stream costs more to fail.
 bool ReadWholeFile(const std::string& path, std::string* out) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return false;
-  std::ostringstream os;
-  os << is.rdbuf();
-  *out = os.str();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  out->clear();
+  char buf[1 << 16];
+  for (;;) {
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    out->append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
   return true;
 }
 
