@@ -34,7 +34,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <set>
 #include <string>
@@ -126,7 +125,7 @@ class ChromeTraceWriter {
   /// Serialized event objects, each after the first preceded by ",\n".
   std::string events_;
   std::size_t event_count_ = 0;
-  std::set<std::string, std::less<>> counter_names_;
+  std::set<std::string> counter_names_;
   bool have_wall_origin_ = false;
   std::chrono::steady_clock::time_point wall_origin_;
 };

@@ -66,20 +66,6 @@ bool ReadWholeFile(const std::string& path, std::string* out) {
   return true;
 }
 
-/// write(2)s all of `size` bytes, retrying short writes and EINTR.
-bool WriteAll(int fd, const std::uint8_t* data, std::size_t size) {
-  while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    size -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 int OpenForAppend(const std::string& path, int extra_flags) {
   return ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC | extra_flags,
                 0644);

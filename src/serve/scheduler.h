@@ -196,6 +196,9 @@ class RunScheduler {
   void WorkerLoop(int worker_index);
   void Execute(std::int64_t id, const RunSpec& spec, bool try_resume,
                ThreadPool* pool);
+  /// Loads queue.json and replays queue.journal over it. *compact is set
+  /// when the journal held frames or a torn tail: Start must fold it into a
+  /// fresh snapshot before anything is appended.
   bool RestoreLocked(bool* compact, std::string* error);
   void EnqueueLocked(std::int64_t id);
   /// Retention GC: marks the oldest completed runs beyond

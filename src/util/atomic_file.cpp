@@ -22,6 +22,20 @@ void SetError(std::string* error, const std::string& what) {
 
 #if !defined(_WIN32)
 
+bool WriteAll(int fd, const void* data, std::size_t size) {
+  const auto* p = static_cast<const char*>(data);
+  while (size > 0) {
+    const ssize_t n = ::write(fd, p, size);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    p += n;
+    size -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
 bool WriteFileAtomic(const std::string& path,
                      std::initializer_list<std::string_view> pieces,
                      std::string* error) {
@@ -32,19 +46,11 @@ bool WriteFileAtomic(const std::string& path,
     return false;
   }
   for (const std::string_view piece : pieces) {
-    const char* p = piece.data();
-    std::size_t left = piece.size();
-    while (left > 0) {
-      const ssize_t n = ::write(fd, p, left);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        SetError(error, "write " + tmp);
-        ::close(fd);
-        ::unlink(tmp.c_str());
-        return false;
-      }
-      p += n;
-      left -= static_cast<std::size_t>(n);
+    if (!WriteAll(fd, piece.data(), piece.size())) {
+      SetError(error, "write " + tmp);
+      ::close(fd);
+      ::unlink(tmp.c_str());
+      return false;
     }
   }
   // Flush to stable storage before the rename: otherwise a crash can leave

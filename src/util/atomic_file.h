@@ -32,4 +32,10 @@ bool WriteFileAtomic(const std::string& path,
 /// a crash. WriteFileAtomic makes the new bytes durable, not the new name.
 bool SyncDirectory(const std::string& dir, std::string* error);
 
+#if !defined(_WIN32)
+/// write(2)s all `size` bytes to `fd`, retrying short writes and EINTR.
+/// False on failure, with errno set.
+bool WriteAll(int fd, const void* data, std::size_t size);
+#endif
+
 }  // namespace mdmesh
