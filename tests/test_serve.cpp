@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -1288,6 +1289,63 @@ TEST(RunJournal, SubmissionCostDoesNotGrowWithRecords) {
   const auto last_bytes = static_cast<std::intmax_t>(last.size());
   EXPECT_LE(std::abs(last_bytes - first_bytes), 24) << first << "\n" << last;
   sched.Drain();
+}
+
+// Submissions from several threads race for the commit leader's role
+// while the workers journal and commit their own transitions, and three
+// records under 48 submissions pass kCompactFramesPerRecord again and
+// again, so compactions run while other threads append: every
+// acknowledged submission must be on disk once Submit returns.
+TEST(RunJournal, ConcurrentSubmissionsAreDurableWhenAcknowledged) {
+  const std::string dir = FreshDir("journal_concurrent");
+  const std::string image = FreshDir("journal_concurrent_image");
+  SchedulerOptions opts;
+  opts.artifacts_dir = dir;
+  opts.workers = 2;
+  opts.queue_limit = 256;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 12;
+  constexpr int kSpecs = 3;
+  std::vector<std::vector<RunScheduler::SubmitOutcome>> outcomes(kThreads);
+  {
+    RunScheduler sched(opts);
+    std::string error;
+    ASSERT_TRUE(sched.Start(&error)) << error;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&sched, &outcomes, t] {
+        for (int k = 0; k < kPerThread; ++k) {
+          outcomes[static_cast<std::size_t>(t)].push_back(sched.Submit(
+              QuickSpec(200 + static_cast<std::uint64_t>(k % kSpecs))));
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    // Everything acknowledged is in the journal already.
+    CopyCrashImage(dir, image);
+    ASSERT_TRUE(sched.WaitIdle(60000));
+    sched.Drain();
+  }
+  std::map<std::int64_t, std::int64_t> submissions;  // id -> count
+  for (const auto& per_thread : outcomes) {
+    for (const RunScheduler::SubmitOutcome& out : per_thread) {
+      ASSERT_TRUE(out.accepted) << out.error;
+      ++submissions[out.id];
+    }
+  }
+  ASSERT_EQ(submissions.size(), static_cast<std::size_t>(kSpecs));
+  opts.artifacts_dir = image;
+  RunScheduler restored(opts);
+  std::string error;
+  ASSERT_TRUE(restored.Start(&error)) << error;
+  for (const auto& [id, count] : submissions) {
+    RunRecord rec;
+    ASSERT_TRUE(restored.Get(id, &rec)) << "run " << id;
+    EXPECT_EQ(rec.dedup_hits, count - 1) << "run " << id;
+  }
+  ASSERT_TRUE(restored.WaitIdle(60000));
+  EXPECT_EQ(restored.CountByState().done, kSpecs);
+  restored.Drain();
 }
 
 TEST(RunJournal, FreshStartWritesNothing) {
