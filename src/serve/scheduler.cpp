@@ -576,30 +576,30 @@ void RunScheduler::Execute(std::int64_t id, const RunSpec& spec,
       rec.has_result = true;
       rec.result = res;
       rec.delivery_hash = res.delivery_hash;
-  }
-  if (state == RunState::kFailed) {
-    // A failed fingerprint is retryable: drop it from the dedup table so a
-    // re-submission runs fresh instead of sharing the failure.
-    const auto it = dedup_.find(rec.fingerprint);
-    if (it != dedup_.end() && it->second == id) dedup_.erase(it);
-  }
-  if (opts_.metrics != nullptr) {
-    switch (state) {
-      case RunState::kDone:
-        opts_.metrics->counter("serve.completed").Increment();
-        break;
-      case RunState::kFailed:
-        opts_.metrics->counter("serve.failed").Increment();
-        break;
-      case RunState::kInterrupted:
-        opts_.metrics->counter("serve.interrupted").Increment();
-        break;
-      default:
-        break;
     }
-  }
-  seq = JournalLocked(rec);
-  seq = std::max(seq, EvictOldArtifactsLocked(&evictions));
+    if (state == RunState::kFailed) {
+      // A failed fingerprint is retryable: drop it from the dedup table so a
+      // re-submission runs fresh instead of sharing the failure.
+      const auto it = dedup_.find(rec.fingerprint);
+      if (it != dedup_.end() && it->second == id) dedup_.erase(it);
+    }
+    if (opts_.metrics != nullptr) {
+      switch (state) {
+        case RunState::kDone:
+          opts_.metrics->counter("serve.completed").Increment();
+          break;
+        case RunState::kFailed:
+          opts_.metrics->counter("serve.failed").Increment();
+          break;
+        case RunState::kInterrupted:
+          opts_.metrics->counter("serve.interrupted").Increment();
+          break;
+        default:
+          break;
+      }
+    }
+    seq = JournalLocked(rec);
+    seq = std::max(seq, EvictOldArtifactsLocked(&evictions));
   }
   Commit(seq);
   ReclaimEvicted(evictions);
