@@ -1,7 +1,10 @@
 #include "routing/two_phase.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "util/rng.h"
@@ -9,29 +12,104 @@
 namespace mdmesh {
 namespace {
 
-/// Blocks whose centers are within D/2 + nu of both X's and Y's centers,
-/// in increasing block id order.
-std::vector<BlockId> MidpointBlocks(const BlockGrid& grid, BlockId X, BlockId Y,
-                                    double reach) {
-  std::vector<BlockId> s;
-  for (BlockId w = 0; w < grid.num_blocks(); ++w) {
-    if (grid.CenterDist(X, w) <= reach && grid.CenterDist(Y, w) <= reach) {
-      s.push_back(w);
+/// S_nu(X, Y) for every block pair, as bit rows. Bit w of row X is set when
+/// block w's center lies within `reach` of X's center, so S(X, Y) is
+/// row X AND row Y, in increasing block order. The centers are decoded once
+/// per block, and distances use BlockGrid::CenterDist's arithmetic, in the
+/// same order, so every membership test agrees with it exactly.
+class MidpointRows {
+ public:
+  MidpointRows(const BlockGrid& grid, double reach)
+      : d_(grid.topo().dim()),
+        n_(grid.topo().side()),
+        torus_(grid.topo().torus()),
+        m_(grid.num_blocks()),
+        words_((m_ + 63) / 64),
+        centers_(static_cast<std::size_t>(m_ * d_)),
+        rows_(static_cast<std::size_t>(m_ * words_), 0),
+        set_(static_cast<std::size_t>(words_), 0) {
+    for (BlockId w = 0; w < m_; ++w) {
+      const auto c = grid.BlockCenter(w);
+      std::copy(c.begin(), c.begin() + d_, centers_.begin() + w * d_);
+    }
+    for (BlockId x = 0; x < m_; ++x) {
+      for (BlockId w = 0; w < m_; ++w) {
+        if (Dist(x, w) <= reach) {
+          rows_[static_cast<std::size_t>(x * words_ + w / 64)] |=
+              std::uint64_t{1} << (w % 64);
+        }
+      }
     }
   }
-  return s;
+
+  /// BlockGrid::CenterDist(a, b), from the center table.
+  double Dist(BlockId a, BlockId b) const {
+    const double* ca = &centers_[static_cast<std::size_t>(a * d_)];
+    const double* cb = &centers_[static_cast<std::size_t>(b * d_)];
+    double total = 0.0;
+    for (int i = 0; i < d_; ++i) {
+      double diff = std::abs(ca[i] - cb[i]);
+      if (torus_) diff = std::min(diff, n_ - diff);
+      total += diff;
+    }
+    return total;
+  }
+
+  /// Loads S(X, Y) for Select and returns |S(X, Y)|.
+  std::int64_t Load(BlockId x, BlockId y) {
+    const std::uint64_t* rx = &rows_[static_cast<std::size_t>(x * words_)];
+    const std::uint64_t* ry = &rows_[static_cast<std::size_t>(y * words_)];
+    std::int64_t count = 0;
+    for (std::int64_t i = 0; i < words_; ++i) {
+      set_[static_cast<std::size_t>(i)] = rx[i] & ry[i];
+      count += std::popcount(set_[static_cast<std::size_t>(i)]);
+    }
+    return count;
+  }
+
+  /// Loads the set {w} for Select.
+  void LoadOne(BlockId w) {
+    std::fill(set_.begin(), set_.end(), 0);
+    set_[static_cast<std::size_t>(w / 64)] = std::uint64_t{1} << (w % 64);
+  }
+
+  /// The k-th block of the set last loaded, counting from 0 in increasing
+  /// block order; requires k < its size.
+  BlockId Select(std::int64_t k) const {
+    for (std::int64_t i = 0;; ++i) {
+      std::uint64_t word = set_[static_cast<std::size_t>(i)];
+      const int count = std::popcount(word);
+      if (k < count) {
+        for (; k > 0; --k) word &= word - 1;
+        return i * 64 + std::countr_zero(word);
+      }
+      k -= count;
+    }
+  }
+
+ private:
+  int d_;
+  int n_;
+  bool torus_;
+  std::int64_t m_;
+  std::int64_t words_;              // 64-bit words per row
+  std::vector<double> centers_;     // m x d block centers
+  std::vector<std::uint64_t> rows_; // m rows of words_ words
+  std::vector<std::uint64_t> set_;  // the set Load last formed
+};
+
+double Reach(const Topology& topo, double nu) {
+  return static_cast<double>(topo.Diameter()) / 2.0 + nu;
 }
 
 }  // namespace
 
 std::int64_t MinMidpointSetSize(const BlockGrid& grid, double nu) {
-  const double reach =
-      static_cast<double>(grid.topo().Diameter()) / 2.0 + nu;
+  MidpointRows rows(grid, Reach(grid.topo(), nu));
   std::int64_t best = std::numeric_limits<std::int64_t>::max();
   for (BlockId x = 0; x < grid.num_blocks(); ++x) {
     for (BlockId y = 0; y < grid.num_blocks(); ++y) {
-      best = std::min(best, static_cast<std::int64_t>(
-                                MidpointBlocks(grid, x, y, reach).size()));
+      best = std::min(best, rows.Load(x, y));
     }
   }
   return best;
@@ -44,7 +122,6 @@ TwoPhaseResult RouteTwoPhase(const Topology& topo,
   BlockGrid grid(topo, opts.g);
   const std::int64_t m = grid.num_blocks();
   const std::int64_t B = grid.block_volume();
-  const std::int64_t D = topo.Diameter();
   const int d = topo.dim();
 
   Span root = TraceContext::OpenIf(opts.trace, "two_phase");
@@ -56,7 +133,7 @@ TwoPhaseResult RouteTwoPhase(const Topology& topo,
           ? opts.nu
           : (topo.torus() ? static_cast<double>(topo.side()) / 16.0
                           : static_cast<double>(topo.side()) / 2.0);
-  const double reach = static_cast<double>(D) / 2.0 + result.nu_used;
+  MidpointRows rows(grid, Reach(topo, result.nu_used));
 
   // Group sources by (source block, destination block). Sorting a flat list
   // keeps the grouping deterministic.
@@ -97,42 +174,43 @@ TwoPhaseResult RouteTwoPhase(const Topology& topo,
     while (hi < entries.size() && entries[hi].key == entries[lo].key) ++hi;
     const BlockId X = entries[lo].key / m;
     const BlockId Y = entries[lo].key % m;
-    std::vector<BlockId> s = MidpointBlocks(grid, X, Y, reach);
-    if (s.empty()) {
+    std::int64_t size = rows.Load(X, Y);
+    if (size == 0) {
       // Degenerate geometry (tiny n with coarse blocks): fall back to the
-      // blocks minimizing the max of the two distances so the run still
+      // block minimizing the max of the two distances so the run still
       // completes; min_s_size = 0 reports the infeasibility.
       double best = std::numeric_limits<double>::max();
       BlockId arg = 0;
       for (BlockId w = 0; w < m; ++w) {
-        double v = std::max(grid.CenterDist(X, w), grid.CenterDist(Y, w));
+        double v = std::max(rows.Dist(X, w), rows.Dist(Y, w));
         if (v < best) {
           best = v;
           arg = w;
         }
       }
-      s.push_back(arg);
+      rows.LoadOne(arg);
+      size = 1;
       result.min_s_size = 0;
     } else {
-      result.min_s_size =
-          std::min(result.min_s_size, static_cast<std::int64_t>(s.size()));
+      result.min_s_size = std::min(result.min_s_size, size);
     }
+    // Stagger each group's round-robin start so that small groups (the
+    // common case for a random permutation: ~B/m packets per (X,Y)) don't
+    // all pile onto the first blocks of their midpoint sets.
+    std::uint64_t stagger_state =
+        static_cast<std::uint64_t>(entries[lo].key) * 0x9e3779b97f4a7c15ull;
+    const auto stagger = static_cast<std::int64_t>(
+        SplitMix64(stagger_state) % static_cast<std::uint64_t>(size));
     for (std::size_t t = lo; t < hi; ++t) {
-      const std::size_t r = t - lo;  // rank within the (X,Y) group
+      const auto r = static_cast<std::int64_t>(t - lo);  // rank in the group
       BlockId mid;
       std::int64_t offset;
       if (opts.randomized) {
-        mid = s[static_cast<std::size_t>(rng.Below(s.size()))];
+        mid = rows.Select(static_cast<std::int64_t>(
+            rng.Below(static_cast<std::uint64_t>(size))));
         offset = static_cast<std::int64_t>(rng.Below(static_cast<std::uint64_t>(B)));
       } else {
-        // Stagger each group's round-robin start so that small groups (the
-        // common case for a random permutation: ~B/m packets per (X,Y))
-        // don't all pile onto the first blocks of their midpoint sets.
-        std::uint64_t stagger_state =
-            static_cast<std::uint64_t>(entries[lo].key) * 0x9e3779b97f4a7c15ull;
-        const std::size_t stagger =
-            static_cast<std::size_t>(SplitMix64(stagger_state) % s.size());
-        mid = s[(r + stagger) % s.size()];
+        mid = rows.Select((r + stagger) % size);
         auto& rot = next_offset[static_cast<std::size_t>(mid)];
         offset = rot;
         rot = (rot + 1) % B;

@@ -55,13 +55,21 @@ struct TwoPhaseResult {
 };
 
 /// Routes the permutation `dest` with the Section 5 two-phase algorithm.
+///
+/// Set-up before the engine runs, with N processors and m = g^d blocks:
+/// O(N log N) to group the packets by (source block, destination block);
+/// O(m^2 d) time and m^2/8 bytes for one m-bit row per block marking the
+/// blocks within D/2 + nu of its center; then per group one AND of two rows
+/// (m/64 words) for S_nu(X,Y) and its size, and per packet one select over
+/// those words. An empty S_nu(X,Y) adds an O(m d) fallback scan.
 TwoPhaseResult RouteTwoPhase(const Topology& topo,
                              const std::vector<ProcId>& dest,
                              const TwoPhaseOptions& opts);
 
 /// |S_nu(X,Y)| minimized over all block pairs (X,Y) — the feasibility
 /// quantity of Theorem 5.3: each phase reduces to k unshuffle permutations
-/// once k * min|S_nu| * block_volume >= N.
+/// once k * min|S_nu| * block_volume >= N. Costs O(m^2 d) for the rows
+/// RouteTwoPhase builds plus m^2 row intersections of m/64 words each.
 std::int64_t MinMidpointSetSize(const BlockGrid& grid, double nu);
 
 }  // namespace mdmesh
