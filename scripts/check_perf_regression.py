@@ -83,6 +83,15 @@ the workload's fixed runs, so a differing digest means the simulation
 itself changed. Tier-1 runs it on every workload after a
 `--seed=1 --seconds=0` run.
 
+The validate-steps subcommand checks that the simulated results did not
+move: every record carrying `steps` whose (experiment, spec, perm, seed)
+appears in both files must report the same total steps and the same
+per-phase steps (name and steps of each entry of `phases`, in order). At
+least one key must overlap, and a key may occur only once per file. CI runs
+it on a fresh `bench_routing_mesh --quick` JSON against the committed
+BENCH_routing_mesh.json, so a change that alters any routed step count
+fails there even when every test still passes.
+
 Usage:
     check_perf_regression.py BASELINE CANDIDATE [--factor 2.0]
     check_perf_regression.py validate-trace TRACE [--min-counter-tracks N]
@@ -93,6 +102,7 @@ Usage:
                                               [--allow-torn-tail]
     check_perf_regression.py validate-journeys JSONL [--min-journeys N]
     check_perf_regression.py validate-digests RESULT... --baseline B
+    check_perf_regression.py validate-steps BASELINE CANDIDATE
 
 Exit status: 0 when every check holds, 1 on any regression, missing key,
 or schema violation. Stdlib only.
@@ -760,7 +770,62 @@ def validate_digests(argv):
     print(f"all {len(args.results)} sim digest(s) match {args.baseline}")
 
 
+def step_records(path):
+    """(experiment, spec, perm, seed) -> (steps, per-phase steps)."""
+    with open(path) as f:
+        recs = records_of(path, json.load(f))
+    table = {}
+    for rec in recs:
+        if "steps" not in rec:
+            continue
+        key = (
+            rec.get("experiment"),
+            json.dumps(rec.get("spec"), sort_keys=True),
+            rec.get("perm"),
+            rec.get("seed"),
+        )
+        if key in table:
+            sys.exit(f"{path}: key {key} occurs more than once")
+        phases = [(p.get("name"), p.get("steps")) for p in rec.get("phases", [])]
+        table[key] = (rec["steps"], phases)
+    return table
+
+
+def validate_steps(argv):
+    ap = argparse.ArgumentParser(
+        prog="check_perf_regression.py validate-steps",
+        description="Check that every (experiment, spec, perm, seed) record "
+        "in both files reports the same total and per-phase steps.",
+    )
+    ap.add_argument("baseline", help="committed bench JSON")
+    ap.add_argument("candidate", help="freshly generated bench JSON")
+    args = ap.parse_args(argv)
+    base = step_records(args.baseline)
+    cand = step_records(args.candidate)
+    shared = sorted(key for key in base if key in cand)
+    if not shared:
+        sys.exit("no (experiment, spec, perm, seed) key in both files")
+    bad = 0
+    for key in shared:
+        name = f"{key[0]} {key[1]} {key[2]} seed={key[3]}"
+        (b_steps, b_phases), (c_steps, c_phases) = base[key], cand[key]
+        if (b_steps, b_phases) == (c_steps, c_phases):
+            print(f"  ok    {name}: {c_steps} steps {[s for _, s in c_phases]}")
+            continue
+        bad += 1
+        print(
+            f"  FAIL  {name}: {c_steps} steps {c_phases}, baseline "
+            f"{b_steps} steps {b_phases}"
+        )
+    if bad:
+        sys.exit(f"{bad} of {len(shared)} shared record(s) changed steps")
+    print(f"all {len(shared)} shared record(s) report the baseline's steps")
+
+
 def main():
+    if len(sys.argv) > 1 and sys.argv[1] == "validate-steps":
+        validate_steps(sys.argv[2:])
+        return
     if len(sys.argv) > 1 and sys.argv[1] == "validate-digests":
         validate_digests(sys.argv[2:])
         return
