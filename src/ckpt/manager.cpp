@@ -12,6 +12,7 @@
 
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "util/atomic_file.h"
 
 namespace mdmesh {
 
@@ -34,9 +35,13 @@ bool ParseCheckpointName(const char* name, std::int64_t* step) {
   return true;
 }
 
+/// Creates `dir` if it is missing. A directory it creates has its name made
+/// durable before any checkpoint goes into it.
 bool EnsureDir(const std::string& dir) {
 #if !defined(_WIN32)
-  if (::mkdir(dir.c_str(), 0755) == 0) return true;
+  if (::mkdir(dir.c_str(), 0755) == 0) {
+    return SyncParentDirectory(dir, nullptr);
+  }
   return errno == EEXIST;
 #else
   return true;

@@ -429,7 +429,12 @@ void RunScheduler::Execute(std::int64_t id, const RunSpec& spec,
   const std::string artifact_dir =
       opts_.artifacts_dir + "/run-" + std::to_string(id);
   std::error_code ec;
-  std::filesystem::create_directories(artifact_dir, ec);
+  std::string werr;
+  if (std::filesystem::create_directories(artifact_dir, ec) &&
+      !SyncDirectory(opts_.artifacts_dir, &werr)) {
+    std::fprintf(stderr, "run %lld: %s\n", static_cast<long long>(id),
+                 werr.c_str());
+  }
 
   Topology topo(spec.d, spec.n, spec.torus ? Wrap::kTorus : Wrap::kMesh);
   TrafficPattern pattern(topo, spec.pattern, spec.pattern_seed,
@@ -514,7 +519,6 @@ void RunScheduler::Execute(std::int64_t id, const RunSpec& spec,
   // partial counters are exactly what postmortems need). Interrupted runs
   // leave only their checkpoints; they are not results.
   if (state != RunState::kInterrupted && failure.empty()) {
-    std::string werr;
     {
       std::ostringstream os;
       JsonWriter w(os, 1);
@@ -790,7 +794,6 @@ std::uint64_t RunScheduler::SyncJournal() {
       std::fprintf(stderr, "scheduler: snapshot failed: %s\n",
                    error.c_str());
     }
-    sync_dir = true;
   }
   if (compact && snapshot_ok && ReplaceJournal(&durable)) sync_dir = true;
   if (compact && !snapshot_ok) {

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 
 #if !defined(_WIN32)
 #include <fcntl.h>
@@ -72,7 +73,9 @@ bool WriteFileAtomic(const std::string& path,
     ::unlink(tmp.c_str());
     return false;
   }
-  return true;
+  // The rename is a change to the directory: until the directory itself is
+  // flushed, a power loss can bring back the old name (or none).
+  return SyncParentDirectory(path, error);
 }
 
 bool SyncDirectory(const std::string& dir, std::string* error) {
@@ -85,6 +88,13 @@ bool SyncDirectory(const std::string& dir, std::string* error) {
   if (!ok) SetError(error, "fsync " + dir);
   ::close(fd);
   return ok;
+}
+
+bool SyncParentDirectory(const std::string& path, std::string* error) {
+  std::filesystem::path p(path);
+  if (!p.has_filename()) p = p.parent_path();  // "a/b/" names directory b
+  const std::filesystem::path parent = p.parent_path();
+  return SyncDirectory(parent.empty() ? "." : parent.string(), error);
 }
 
 #else  // _WIN32: stdio fallback, no fsync (the repo's CI targets POSIX).
@@ -120,6 +130,8 @@ bool WriteFileAtomic(const std::string& path,
 }
 
 bool SyncDirectory(const std::string&, std::string*) { return true; }
+
+bool SyncParentDirectory(const std::string&, std::string*) { return true; }
 
 #endif
 

@@ -1,8 +1,10 @@
 // Atomic file replacement: write a temporary sibling, flush it to stable
-// storage, then rename it over the destination. A reader (or a crash at any
-// instant) sees either the previous complete file or the new complete file,
-// never a torn mixture — the invariant the checkpoint store, the
-// --status-file snapshot, and the flight-recorder dump all rely on.
+// storage, rename it over the destination, then flush the directory. A
+// reader (or a crash at any instant) sees either the previous complete file
+// or the new complete file, never a torn mixture, and once the call returns
+// true the new file survives a crash under its name — the invariant the
+// checkpoint store, the --status-file snapshot, the run artifacts and the
+// flight-recorder dump all rely on.
 #pragma once
 
 #include <cstddef>
@@ -13,9 +15,11 @@
 namespace mdmesh {
 
 /// Writes `size` bytes at `data` to `path` via `path + ".tmp"`:
-/// write -> fsync -> rename. Returns false on failure with a diagnostic
-/// (including the errno text) in *error; `error` may be null. The
-/// temporary file is removed on a failed write, so retries start clean.
+/// write -> fsync -> rename -> fsync of the containing directory. Returns
+/// false on failure with a diagnostic (including the errno text) in *error;
+/// `error` may be null. The temporary file is removed on a failed write, so
+/// retries start clean. If only the directory fsync fails, the new file is
+/// in place but its name may not survive a crash, and the call returns false.
 bool WriteFileAtomic(const std::string& path, const void* data,
                      std::size_t size, std::string* error);
 
@@ -28,9 +32,15 @@ bool WriteFileAtomic(const std::string& path,
                      std::initializer_list<std::string_view> pieces,
                      std::string* error);
 
-/// fsyncs directory `dir`, so that a file created or renamed in it survives
-/// a crash. WriteFileAtomic makes the new bytes durable, not the new name.
+/// fsyncs directory `dir`, so that a file or directory created, renamed or
+/// removed in it survives a crash under that name. WriteFileAtomic already
+/// does this for the file it writes; call this after creating a directory
+/// (on its parent) or a file by other means.
 bool SyncDirectory(const std::string& dir, std::string* error);
+
+/// SyncDirectory on the directory that contains `path`, a file or a
+/// directory; "." when `path` names no directory.
+bool SyncParentDirectory(const std::string& path, std::string* error);
 
 #if !defined(_WIN32)
 /// write(2)s all `size` bytes to `fd`, retrying short writes and EINTR.
