@@ -38,8 +38,9 @@ bool WriteFileAtomic(const std::string& path,
 /// (on its parent) or a file by other means.
 bool SyncDirectory(const std::string& dir, std::string* error);
 
-/// SyncDirectory on the directory that contains `path`, a file or a
-/// directory; "." when `path` names no directory.
+/// SyncDirectory on the directory that contains `path`, which may name a
+/// file or a directory; the working directory when `path` has no directory
+/// part.
 bool SyncParentDirectory(const std::string& path, std::string* error);
 
 #if !defined(_WIN32)
