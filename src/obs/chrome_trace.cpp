@@ -330,8 +330,9 @@ void ChromeTraceWriter::Write(std::ostream& os) const {
 }
 
 bool ChromeTraceWriter::WriteAtomic(const std::string& path,
-                                    std::string* error) const {
-  return WriteFileAtomic(path, {Head(), events_, Tail()}, error);
+                                    std::string* error,
+                                    DirSync dir_sync) const {
+  return WriteFileAtomic(path, {Head(), events_, Tail()}, error, dir_sync);
 }
 
 void ChromeTraceWriter::WriteFile(const std::string& path) const {

@@ -43,6 +43,7 @@
 #include "obs/manifest.h"
 #include "obs/probe.h"
 #include "obs/trace.h"
+#include "util/atomic_file.h"
 #include "util/thread_pool.h"
 
 namespace mdmesh {
@@ -105,7 +106,8 @@ class ChromeTraceWriter {
   void WriteFile(const std::string& path) const;
   /// Write() to `path` through WriteFileAtomic (util/atomic_file.h),
   /// straight from the event buffer. False + *error on failure.
-  bool WriteAtomic(const std::string& path, std::string* error) const;
+  bool WriteAtomic(const std::string& path, std::string* error,
+                   DirSync dir_sync = DirSync::kNow) const;
 
  private:
   class Event;

@@ -517,7 +517,8 @@ void RunScheduler::Execute(std::int64_t id, const RunSpec& spec,
 
   // Artifact emission for finished runs (done or failed — a failed run's
   // partial counters are exactly what postmortems need). Interrupted runs
-  // leave only their checkpoints; they are not results.
+  // leave only their checkpoints; they are not results. One directory fsync
+  // after the last rename makes every artifact's name durable.
   if (state != RunState::kInterrupted && failure.empty()) {
     {
       std::ostringstream os;
@@ -532,13 +533,15 @@ void RunScheduler::Execute(std::int64_t id, const RunSpec& spec,
       w.Key("route").Raw(res.route.ToJson());
       w.EndObject();
       os << '\n';
-      if (!WriteFileAtomic(artifact_dir + "/result.json", os.str(), &werr)) {
+      if (!WriteFileAtomic(artifact_dir + "/result.json", os.str(), &werr,
+                           DirSync::kDeferred)) {
         std::fprintf(stderr, "run %lld: %s\n", static_cast<long long>(id),
                      werr.c_str());
       }
     }
     if (!WriteFileAtomic(artifact_dir + "/metrics.prom",
-                         run_metrics.ToPrometheus(), &werr)) {
+                         run_metrics.ToPrometheus(), &werr,
+                         DirSync::kDeferred)) {
       std::fprintf(stderr, "run %lld: %s\n", static_cast<long long>(id),
                    werr.c_str());
     }
@@ -548,7 +551,8 @@ void RunScheduler::Execute(std::int64_t id, const RunSpec& spec,
                                  : MakeRunManifest(topo, eopts);
       ChromeTraceWriter writer(manifest);
       writer.AddCounters(trace);
-      if (!writer.WriteAtomic(artifact_dir + "/trace.json", &werr)) {
+      if (!writer.WriteAtomic(artifact_dir + "/trace.json", &werr,
+                              DirSync::kDeferred)) {
         std::fprintf(stderr, "run %lld: %s\n", static_cast<long long>(id),
                      werr.c_str());
       }
@@ -557,10 +561,14 @@ void RunScheduler::Execute(std::int64_t id, const RunSpec& spec,
       std::ostringstream os;
       WriteJourneysJsonl(*res.route.journeys, topo.dim(), os);
       if (!WriteFileAtomic(artifact_dir + "/journeys.jsonl", os.str(),
-                           &werr)) {
+                           &werr, DirSync::kDeferred)) {
         std::fprintf(stderr, "run %lld: %s\n", static_cast<long long>(id),
                      werr.c_str());
       }
+    }
+    if (!SyncDirectory(artifact_dir, &werr)) {
+      std::fprintf(stderr, "run %lld: %s\n", static_cast<long long>(id),
+                   werr.c_str());
     }
   }
 

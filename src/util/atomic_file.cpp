@@ -39,7 +39,7 @@ bool WriteAll(int fd, const void* data, std::size_t size) {
 
 bool WriteFileAtomic(const std::string& path,
                      std::initializer_list<std::string_view> pieces,
-                     std::string* error) {
+                     std::string* error, DirSync dir_sync) {
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
@@ -75,7 +75,7 @@ bool WriteFileAtomic(const std::string& path,
   }
   // The rename is a change to the directory: until the directory itself is
   // flushed, a power loss can bring back the old name (or none).
-  return SyncParentDirectory(path, error);
+  return dir_sync == DirSync::kDeferred || SyncParentDirectory(path, error);
 }
 
 bool SyncDirectory(const std::string& dir, std::string* error) {
@@ -101,7 +101,7 @@ bool SyncParentDirectory(const std::string& path, std::string* error) {
 
 bool WriteFileAtomic(const std::string& path,
                      std::initializer_list<std::string_view> pieces,
-                     std::string* error) {
+                     std::string* error, DirSync dir_sync) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
@@ -120,6 +120,7 @@ bool WriteFileAtomic(const std::string& path,
     std::remove(tmp.c_str());
     return false;
   }
+  (void)dir_sync;  // no fsync on this fallback
   std::remove(path.c_str());  // rename does not replace on Windows
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     SetError(error, "rename " + tmp + " -> " + path);
@@ -136,14 +137,15 @@ bool SyncParentDirectory(const std::string&, std::string*) { return true; }
 #endif
 
 bool WriteFileAtomic(const std::string& path, const void* data,
-                     std::size_t size, std::string* error) {
+                     std::size_t size, std::string* error, DirSync dir_sync) {
   return WriteFileAtomic(
-      path, {std::string_view(static_cast<const char*>(data), size)}, error);
+      path, {std::string_view(static_cast<const char*>(data), size)}, error,
+      dir_sync);
 }
 
 bool WriteFileAtomic(const std::string& path, const std::string& data,
-                     std::string* error) {
-  return WriteFileAtomic(path, {std::string_view(data)}, error);
+                     std::string* error, DirSync dir_sync) {
+  return WriteFileAtomic(path, {std::string_view(data)}, error, dir_sync);
 }
 
 }  // namespace mdmesh

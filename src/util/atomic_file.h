@@ -14,6 +14,12 @@
 
 namespace mdmesh {
 
+/// When WriteFileAtomic fsyncs the containing directory. kDeferred leaves it
+/// to the caller, so that several files written into one directory share
+/// one SyncDirectory call; until that call their new names may not survive
+/// a crash.
+enum class DirSync { kNow, kDeferred };
+
 /// Writes `size` bytes at `data` to `path` via `path + ".tmp"`:
 /// write -> fsync -> rename -> fsync of the containing directory. Returns
 /// false on failure with a diagnostic (including the errno text) in *error;
@@ -21,16 +27,17 @@ namespace mdmesh {
 /// retries start clean. If only the directory fsync fails, the new file is
 /// in place but its name may not survive a crash, and the call returns false.
 bool WriteFileAtomic(const std::string& path, const void* data,
-                     std::size_t size, std::string* error);
+                     std::size_t size, std::string* error,
+                     DirSync dir_sync = DirSync::kNow);
 
 bool WriteFileAtomic(const std::string& path, const std::string& data,
-                     std::string* error);
+                     std::string* error, DirSync dir_sync = DirSync::kNow);
 
 /// Same, for the concatenation of `pieces`, written in order without first
 /// joining them into one buffer.
 bool WriteFileAtomic(const std::string& path,
                      std::initializer_list<std::string_view> pieces,
-                     std::string* error);
+                     std::string* error, DirSync dir_sync = DirSync::kNow);
 
 /// fsyncs directory `dir`, so that a file or directory created, renamed or
 /// removed in it survives a crash under that name. WriteFileAtomic already

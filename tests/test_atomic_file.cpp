@@ -54,6 +54,22 @@ TEST(AtomicFileTest, WritesPiecesInOrder) {
   EXPECT_EQ(ReadFile(path), "head,body,tail");
 }
 
+TEST(AtomicFileTest, DeferredDirectorySyncStillReplacesTheFile) {
+  const std::string dir = FreshDir("atomic_deferred");
+  std::string error;
+  ASSERT_TRUE(WriteFileAtomic(dir + "/a.txt", std::string("first"), &error,
+                              DirSync::kDeferred))
+      << error;
+  ASSERT_TRUE(WriteFileAtomic(dir + "/b.txt", {"sec", "ond"}, &error,
+                              DirSync::kDeferred))
+      << error;
+  ASSERT_TRUE(SyncDirectory(dir, &error)) << error;
+  EXPECT_EQ(ReadFile(dir + "/a.txt"), "first");
+  EXPECT_EQ(ReadFile(dir + "/b.txt"), "second");
+  EXPECT_FALSE(std::filesystem::exists(dir + "/a.txt.tmp"));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/b.txt.tmp"));
+}
+
 TEST(AtomicFileTest, MissingDirectoryFailsAndLeavesNoTemp) {
   const std::string dir = FreshDir("atomic_missing") + "/absent";
   const std::string path = dir + "/out.txt";
