@@ -802,7 +802,7 @@ def validate_steps(argv):
     args = ap.parse_args(argv)
     base = step_records(args.baseline)
     cand = step_records(args.candidate)
-    shared = sorted(key for key in base if key in cand)
+    shared = [key for key in base if key in cand]
     if not shared:
         sys.exit("no (experiment, spec, perm, seed) key in both files")
     bad = 0

@@ -133,6 +133,7 @@ TwoPhaseResult RouteTwoPhase(const Topology& topo,
           ? opts.nu
           : (topo.torus() ? static_cast<double>(topo.side()) / 16.0
                           : static_cast<double>(topo.side()) / 2.0);
+
   // Group sources by (source block, destination block). Sorting a flat list
   // keeps the grouping deterministic.
   struct Entry {
