@@ -8,8 +8,6 @@
 //         spread vs Valiant-Brebner random intermediate destinations. The
 //         claim is they behave alike — that is the whole point of the
 //         unshuffle machinery.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <vector>
 
@@ -180,26 +178,16 @@ void PrintRemapAblation() {
               "bijective scheme\n\n");
 }
 
-void BM_AblationCenter(benchmark::State& state) {
-  SortOptions opts;
-  opts.g = 4;
-  opts.center_blocks = state.range(0);
-  opts.seed = 11;
-  SortRow row;
-  for (auto _ : state) {
-    row = RunSortExperiment(SortAlgo::kSimple, {2, 64, Wrap::kMesh}, opts);
-    benchmark::DoNotOptimize(row.result.routing_steps);
-  }
-  state.counters["ratio"] = row.ratio;
-}
-
-BENCHMARK(BM_AblationCenter)->Arg(4)->Arg(8)->Iterations(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace mdmesh
 
 int main(int argc, char** argv) {
-  const mdmesh::OutputFlags flags = mdmesh::ParseOutputFlags(&argc, argv);
+  mdmesh::Cli cli("bench_ablation",
+                  "E6/E18: center-region, derandomization and cost-model "
+                  "ablations");
+  mdmesh::AddOutputFlags(cli);
+  if (!cli.Parse(argc, argv)) return 2;
+  const mdmesh::OutputFlags flags = mdmesh::GetOutputFlags(cli);
   mdmesh::BenchJson json("ablation");
   mdmesh::PrintCenterSizeAblation(json);
   if (!flags.quick) {
@@ -208,7 +196,5 @@ int main(int argc, char** argv) {
     mdmesh::PrintRemapAblation();
   }
   if (flags.WantsJson()) json.WriteFile(flags.json);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

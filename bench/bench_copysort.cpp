@@ -6,8 +6,6 @@
 // 1.25 vs 1.5. The d >= 8 point runs at n = 4 (65536 processors) where the
 // o(n) machinery is far outside its regime — reported honestly with its
 // fix-up round count (see DESIGN.md §5).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <vector>
 
@@ -72,37 +70,15 @@ void PrintReproductionTable(const OutputFlags& flags) {
   std::printf("\n");
 }
 
-void BM_CopySort(benchmark::State& state) {
-  const MeshSpec spec{static_cast<int>(state.range(0)),
-                      static_cast<int>(state.range(1)), Wrap::kMesh};
-  SortOptions opts;
-  opts.g = static_cast<int>(state.range(2));
-  opts.seed = 4242;
-  SortRow row;
-  for (auto _ : state) {
-    row = RunSortExperiment(SortAlgo::kCopy, spec, opts);
-    benchmark::DoNotOptimize(row.result.routing_steps);
-  }
-  state.counters["routing"] = static_cast<double>(row.result.routing_steps);
-  state.counters["ratio"] = row.ratio;
-  state.counters["claimed"] = row.claimed;
-  state.counters["sorted"] = row.result.sorted ? 1 : 0;
-}
-
-BENCHMARK(BM_CopySort)
-    ->Args({2, 128, 8})
-    ->Args({3, 32, 4})
-    ->Args({8, 4, 2})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace mdmesh
 
 int main(int argc, char** argv) {
-  const mdmesh::OutputFlags flags = mdmesh::ParseOutputFlags(&argc, argv);
+  mdmesh::Cli cli("bench_copysort",
+                  "E7: CopySort vs SimpleSort (Theorem 3.2)");
+  mdmesh::AddOutputFlags(cli);
+  if (!cli.Parse(argc, argv)) return 2;
+  const mdmesh::OutputFlags flags = mdmesh::GetOutputFlags(cli);
   mdmesh::PrintReproductionTable(flags);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

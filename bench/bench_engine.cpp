@@ -5,8 +5,6 @@
 // size. This is the only bench about wall-clock speed rather than step
 // counts. The JSON records (BENCH_engine.json) feed the CI perf-smoke
 // guard (scripts/check_perf_regression.py).
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstdio>
 #include <sstream>
@@ -392,97 +390,17 @@ void WriteThroughputJson(const OutputFlags& flags) {
   json.WriteFile(flags.json);
 }
 
-void BM_EngineRandomPermutation(benchmark::State& state) {
-  const int d = static_cast<int>(state.range(0));
-  const int n = static_cast<int>(state.range(1));
-  Topology topo(d, n, Wrap::kMesh);
-  std::int64_t moves = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    Network net(topo);
-    Rng rng(1);
-    auto dest = RandomPermutation(topo, rng);
-    for (ProcId p = 0; p < topo.size(); ++p) {
-      Packet pkt;
-      pkt.id = p;
-      pkt.dest = dest[static_cast<std::size_t>(p)];
-      pkt.klass = static_cast<std::uint16_t>(p % d);
-      net.Add(p, pkt);
-    }
-    state.ResumeTiming();
-    Engine engine(topo);
-    RouteResult r = engine.Route(net);
-    moves = r.moves;
-    benchmark::DoNotOptimize(r.steps);
-  }
-  state.counters["moves/s"] = benchmark::Counter(
-      static_cast<double>(moves) * static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate);
-  state.counters["procs"] = static_cast<double>(topo.size());
-}
-
-BENCHMARK(BM_EngineRandomPermutation)
-    ->Args({2, 32})
-    ->Args({2, 64})
-    ->Args({2, 128})
-    ->Args({3, 32})
-    ->Args({4, 12})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_EngineWithThreads(benchmark::State& state) {
-  const auto workers = static_cast<unsigned>(state.range(0));
-  Topology topo(3, 32, Wrap::kMesh);
-  ThreadPool pool(workers);
-  for (auto _ : state) {
-    state.PauseTiming();
-    Network net(topo);
-    Rng rng(2);
-    auto dest = RandomPermutation(topo, rng);
-    for (ProcId p = 0; p < topo.size(); ++p) {
-      Packet pkt;
-      pkt.id = p;
-      pkt.dest = dest[static_cast<std::size_t>(p)];
-      pkt.klass = static_cast<std::uint16_t>(p % 3);
-      net.Add(p, pkt);
-    }
-    state.ResumeTiming();
-    EngineOptions opts;
-    opts.pool = &pool;
-    Engine engine(topo, opts);
-    benchmark::DoNotOptimize(engine.Route(net).steps);
-  }
-  state.counters["workers"] = static_cast<double>(workers);
-}
-
-BENCHMARK(BM_EngineWithThreads)->Arg(0)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
-
-void BM_FullSortingRun(benchmark::State& state) {
-  const MeshSpec spec{static_cast<int>(state.range(0)),
-                      static_cast<int>(state.range(1)), Wrap::kMesh};
-  SortOptions opts;
-  opts.g = static_cast<int>(state.range(2));
-  opts.seed = 3;
-  for (auto _ : state) {
-    SortRow row = RunSortExperiment(SortAlgo::kSimple, spec, opts);
-    benchmark::DoNotOptimize(row.result.routing_steps);
-  }
-  state.counters["procs"] = static_cast<double>(spec.size());
-}
-
-BENCHMARK(BM_FullSortingRun)
-    ->Args({2, 64, 4})
-    ->Args({2, 128, 8})
-    ->Args({3, 32, 4})
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace mdmesh
 
 int main(int argc, char** argv) {
-  const mdmesh::OutputFlags flags = mdmesh::ParseOutputFlags(&argc, argv);
+  mdmesh::Cli cli("bench_engine",
+                  "E19/E21: simulator wall-clock records (--json) and timeline "
+                  "(--perfetto)");
+  mdmesh::AddOutputFlags(cli);
+  if (!cli.Parse(argc, argv)) return 2;
+  const mdmesh::OutputFlags flags = mdmesh::GetOutputFlags(cli);
   if (flags.WantsPerfetto()) mdmesh::WritePerfettoTrace(flags);
   mdmesh::WriteThroughputJson(flags);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -10,8 +10,6 @@
 // reports max overshoot / n — the distance-optimality measure. The paper's
 // shape: overshoot stays a small multiple of n up to the lemma's j, and
 // grows sharply beyond it (clearest on the mesh past floor(d/2)).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <vector>
 
@@ -80,37 +78,16 @@ void PrintReproductionTable(const OutputFlags& flags) {
   std::printf("\n");
 }
 
-void BM_GreedyPermutations(benchmark::State& state) {
-  const MeshSpec spec{static_cast<int>(state.range(0)),
-                      static_cast<int>(state.range(1)),
-                      state.range(2) != 0 ? Wrap::kTorus : Wrap::kMesh};
-  const int j = static_cast<int>(state.range(3));
-  GreedyRow row;
-  for (auto _ : state) {
-    row = RunGreedyExperiment(spec, j, 42);
-    benchmark::DoNotOptimize(row.run.route.steps);
-  }
-  state.counters["steps"] = static_cast<double>(row.run.route.steps);
-  state.counters["steps/D"] = row.run.steps_over_diameter();
-  state.counters["overshoot"] = static_cast<double>(row.run.route.max_overshoot);
-  state.counters["max_queue"] = static_cast<double>(row.run.route.max_queue);
-}
-
-BENCHMARK(BM_GreedyPermutations)
-    ->Args({2, 32, 0, 1})
-    ->Args({3, 16, 0, 1})
-    ->Args({3, 16, 1, 6})
-    ->Args({4, 8, 1, 8})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace mdmesh
 
 int main(int argc, char** argv) {
-  const mdmesh::OutputFlags flags = mdmesh::ParseOutputFlags(&argc, argv);
+  mdmesh::Cli cli("bench_greedy",
+                  "E1-E3: distance-optimality of extended greedy routing "
+                  "(Lemmas 2.1-2.3)");
+  mdmesh::AddOutputFlags(cli);
+  if (!cli.Parse(argc, argv)) return 2;
+  const mdmesh::OutputFlags flags = mdmesh::GetOutputFlags(cli);
   mdmesh::PrintReproductionTable(flags);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

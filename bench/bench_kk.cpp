@@ -8,8 +8,6 @@
 //
 // Shape to reproduce: the ratio degrades only mildly as k grows up to the
 // corollary's limit, and the k = d torus point stays in the same regime.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <vector>
 
@@ -113,40 +111,15 @@ void PrintReproductionTable(const OutputFlags& flags) {
   if (flags.WantsJson()) json.WriteFile(flags.json);
 }
 
-void BM_KkSort(benchmark::State& state) {
-  const bool torus = state.range(0) != 0;
-  const MeshSpec spec{static_cast<int>(state.range(1)),
-                      static_cast<int>(state.range(2)),
-                      torus ? Wrap::kTorus : Wrap::kMesh};
-  SortOptions opts;
-  opts.g = static_cast<int>(state.range(3));
-  opts.k = static_cast<int>(state.range(4));
-  opts.seed = 31337;
-  SortRow row;
-  for (auto _ : state) {
-    row = RunSortExperiment(torus ? SortAlgo::kTorus : SortAlgo::kSimple, spec,
-                            opts);
-    benchmark::DoNotOptimize(row.result.routing_steps);
-  }
-  state.counters["ratio"] = row.ratio;
-  state.counters["k"] = static_cast<double>(opts.k);
-  state.counters["sorted"] = row.result.sorted ? 1 : 0;
-}
-
-BENCHMARK(BM_KkSort)
-    ->Args({0, 2, 64, 4, 2})
-    ->Args({0, 4, 8, 2, 2})
-    ->Args({1, 3, 16, 4, 3})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace mdmesh
 
 int main(int argc, char** argv) {
-  const mdmesh::OutputFlags flags = mdmesh::ParseOutputFlags(&argc, argv);
+  mdmesh::Cli cli("bench_kk",
+                  "E5/E9: k-k sorting (Corollaries 3.1.1, 3.3.1)");
+  mdmesh::AddOutputFlags(cli);
+  if (!cli.Parse(argc, argv)) return 2;
+  const mdmesh::OutputFlags flags = mdmesh::GetOutputFlags(cli);
   mdmesh::PrintReproductionTable(flags);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

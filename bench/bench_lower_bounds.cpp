@@ -7,8 +7,6 @@
 //         thresholds.
 //   E12 — Theorems 4.3/4.4: the with-copying coefficients and their d0
 //         premises.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <sstream>
 #include <vector>
@@ -210,33 +208,15 @@ void PrintCompatibilityTable() {
               "whole range and sits at the edge of the definition\n\n");
 }
 
-void BM_DiamondCounting(benchmark::State& state) {
-  const int d = static_cast<int>(state.range(0));
-  const int n = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(CenterDistanceDistribution(d, n));
-  }
-}
-
-BENCHMARK(BM_DiamondCounting)
-    ->Args({8, 33})
-    ->Args({32, 33})
-    ->Args({64, 65})
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_Lemma42Eval(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(EvalLemma42(static_cast<int>(state.range(0)), 33, 0.5, 0.7));
-  }
-}
-
-BENCHMARK(BM_Lemma42Eval)->Arg(16)->Arg(64)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 }  // namespace mdmesh
 
 int main(int argc, char** argv) {
-  const mdmesh::OutputFlags flags = mdmesh::ParseOutputFlags(&argc, argv);
+  mdmesh::Cli cli("bench_lower_bounds",
+                  "E10-E12: the Section 4 lower bounds, evaluated exactly");
+  mdmesh::AddOutputFlags(cli);
+  if (!cli.Parse(argc, argv)) return 2;
+  const mdmesh::OutputFlags flags = mdmesh::GetOutputFlags(cli);
   mdmesh::PrintLemma41Table();
   if (!flags.quick) {
     mdmesh::PrintLemma42Table();
@@ -245,7 +225,5 @@ int main(int argc, char** argv) {
     mdmesh::PrintCompatibilityTable();
   }
   mdmesh::WriteJsonRecords(flags);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

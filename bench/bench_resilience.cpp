@@ -7,8 +7,6 @@
 // completes, with steps/D degrading gracefully (a few percent per percent
 // of dead links); the engine's watchdog turns pathological instances into
 // structured stall reports instead of step_cap burns.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <sstream>
 #include <vector>
@@ -138,54 +136,15 @@ void PrintResilienceTable(const OutputFlags& flags) {
   if (flags.WantsJson()) json.WriteFile(flags.json);
 }
 
-void BM_ResilienceRoute(benchmark::State& state) {
-  const MeshSpec spec{static_cast<int>(state.range(0)),
-                      static_cast<int>(state.range(1)), Wrap::kTorus};
-  const double rate = static_cast<double>(state.range(2)) / 1000.0;
-  Topology topo = spec.Build();
-  FaultSpec fs;
-  fs.link_rate = rate;
-  FaultPlan plan = FaultPlan::Random(topo, fs, 1);
-  std::int64_t steps = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    Network net(topo);
-    Rng rng(1);
-    const std::vector<ProcId> dest = RandomPermutation(topo, rng);
-    for (ProcId p = 0; p < topo.size(); ++p) {
-      Packet pkt;
-      pkt.id = p;
-      pkt.dest = dest[static_cast<std::size_t>(p)];
-      pkt.klass = static_cast<std::uint16_t>(p % spec.d);
-      net.Add(p, pkt);
-    }
-    EngineOptions opts;
-    opts.faults = &plan;
-    Engine engine(topo, opts);
-    state.ResumeTiming();
-    RouteResult r = engine.Route(net);
-    steps = r.steps;
-    benchmark::DoNotOptimize(r.moves);
-  }
-  state.counters["steps"] = static_cast<double>(steps);
-  state.counters["steps/D"] =
-      static_cast<double>(steps) / static_cast<double>(topo.Diameter());
-}
-
-BENCHMARK(BM_ResilienceRoute)
-    ->Args({2, 32, 0})   // fault-free baseline
-    ->Args({2, 32, 10})  // 1% dead links
-    ->Args({2, 32, 50})  // 5% dead links
-    ->Args({3, 16, 10})
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace mdmesh
 
 int main(int argc, char** argv) {
-  const mdmesh::OutputFlags flags = mdmesh::ParseOutputFlags(&argc, argv);
+  mdmesh::Cli cli("bench_resilience",
+                  "E20: routing resilience under seeded link faults");
+  mdmesh::AddOutputFlags(cli);
+  if (!cli.Parse(argc, argv)) return 2;
+  const mdmesh::OutputFlags flags = mdmesh::GetOutputFlags(cli);
   mdmesh::PrintResilienceTable(flags);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -6,8 +6,6 @@
 // structured worst cases (reversal, transpose) where plain greedy either
 // also does fine (reversal — it is a "bit-complement"-style permutation) or
 // funnels badly (transpose concentrates n packets on single diagonal links).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <fstream>
 #include <vector>
@@ -116,38 +114,15 @@ void PrintReproductionTable(const OutputFlags& flags) {
   if (flags.WantsJson()) json.WriteFile(flags.json);
 }
 
-void BM_TwoPhaseMesh(benchmark::State& state) {
-  const MeshSpec spec{static_cast<int>(state.range(0)),
-                      static_cast<int>(state.range(1)), Wrap::kMesh};
-  const char* perms[] = {"random", "reversal", "transpose"};
-  TwoPhaseOptions opts;
-  opts.g = static_cast<int>(state.range(2));
-  opts.seed = 99;
-  RoutingRow row;
-  for (auto _ : state) {
-    row = RunRoutingExperiment(spec, perms[state.range(3)], opts);
-    benchmark::DoNotOptimize(row.two_phase.total_steps);
-  }
-  state.counters["2phase/D"] =
-      row.two_phase.steps_over_diameter(row.diameter);
-  state.counters["greedy/D"] = row.baseline.steps_over_diameter();
-  state.counters["delivered"] = row.two_phase.delivered ? 1 : 0;
-}
-
-BENCHMARK(BM_TwoPhaseMesh)
-    ->Args({2, 128, 8, 2})  // transpose
-    ->Args({2, 128, 8, 1})  // reversal
-    ->Args({3, 32, 4, 0})   // random
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace mdmesh
 
 int main(int argc, char** argv) {
-  const mdmesh::OutputFlags flags = mdmesh::ParseOutputFlags(&argc, argv);
+  mdmesh::Cli cli("bench_routing_mesh",
+                  "E14: two-phase permutation routing on meshes (Theorem 5.1)");
+  mdmesh::AddOutputFlags(cli);
+  if (!cli.Parse(argc, argv)) return 2;
+  const mdmesh::OutputFlags flags = mdmesh::GetOutputFlags(cli);
   mdmesh::PrintReproductionTable(flags);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

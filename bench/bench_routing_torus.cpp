@@ -2,8 +2,6 @@
 // d-dimensional torus in D + n/8 + o(n) (nu = n/16), and the epsilon-n trend:
 // as d grows, smaller and smaller nu keep the midpoint sets non-empty
 // (k * |S_nu| * B >= N), driving the running time toward D + eps*n.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <vector>
 
@@ -107,34 +105,16 @@ void PrintReproductionTable(const OutputFlags& flags) {
   if (flags.WantsJson()) json.WriteFile(flags.json);
 }
 
-void BM_TwoPhaseTorus(benchmark::State& state) {
-  const MeshSpec spec{static_cast<int>(state.range(0)),
-                      static_cast<int>(state.range(1)), Wrap::kTorus};
-  TwoPhaseOptions opts;
-  opts.g = static_cast<int>(state.range(2));
-  opts.seed = 55;
-  RoutingRow row;
-  for (auto _ : state) {
-    row = RunRoutingExperiment(spec, "reversal", opts);
-    benchmark::DoNotOptimize(row.two_phase.total_steps);
-  }
-  state.counters["2phase/D"] = row.two_phase.steps_over_diameter(row.diameter);
-  state.counters["delivered"] = row.two_phase.delivered ? 1 : 0;
-}
-
-BENCHMARK(BM_TwoPhaseTorus)
-    ->Args({2, 128, 8})
-    ->Args({3, 32, 4})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace mdmesh
 
 int main(int argc, char** argv) {
-  const mdmesh::OutputFlags flags = mdmesh::ParseOutputFlags(&argc, argv);
+  mdmesh::Cli cli("bench_routing_torus",
+                  "E15/E16: two-phase permutation routing on tori (Theorems "
+                  "5.2, 5.3)");
+  mdmesh::AddOutputFlags(cli);
+  if (!cli.Parse(argc, argv)) return 2;
+  const mdmesh::OutputFlags flags = mdmesh::GetOutputFlags(cli);
   mdmesh::PrintReproductionTable(flags);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -8,8 +8,6 @@
 //
 // Shape to reproduce: measured routing/D stays near (and below) 1.0 and the
 // lower-bound table shows 9/16 - eps > 1/2 for eps < 1/16.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <vector>
 
@@ -117,35 +115,15 @@ void PrintReproductionTable(const OutputFlags& flags) {
   if (flags.WantsJson()) json.WriteFile(flags.json);
 }
 
-void BM_Selection(benchmark::State& state) {
-  const MeshSpec spec{static_cast<int>(state.range(0)),
-                      static_cast<int>(state.range(1)), Wrap::kMesh};
-  SortOptions opts;
-  opts.g = static_cast<int>(state.range(2));
-  opts.seed = 2718;
-  SelectRow row;
-  for (auto _ : state) {
-    row = RunSelectionExperiment(spec, opts);
-    benchmark::DoNotOptimize(row.result.routing_steps);
-  }
-  state.counters["ratio"] = row.ratio;
-  state.counters["candidates"] = static_cast<double>(row.result.candidates);
-  state.counters["correct"] = row.correct ? 1 : 0;
-}
-
-BENCHMARK(BM_Selection)
-    ->Args({2, 128, 8})
-    ->Args({3, 32, 4})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace mdmesh
 
 int main(int argc, char** argv) {
-  const mdmesh::OutputFlags flags = mdmesh::ParseOutputFlags(&argc, argv);
+  mdmesh::Cli cli("bench_selection",
+                  "E13: median selection (Section 4.3, Theorem 4.5)");
+  mdmesh::AddOutputFlags(cli);
+  if (!cli.Parse(argc, argv)) return 2;
+  const mdmesh::OutputFlags flags = mdmesh::GetOutputFlags(cli);
   mdmesh::PrintReproductionTable(flags);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -6,8 +6,6 @@
 // FullSort's, with the gap widening as blocks shrink relative to the network
 // (the o(n) terms at simulable n are dominated by the block side b; see
 // EXPERIMENTS.md for the finite-size discussion).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <vector>
 
@@ -65,39 +63,15 @@ void PrintReproductionTable(const OutputFlags& flags) {
               "Theta(n^d) chain sort by a factor ~n^(d-1)/d\n\n");
 }
 
-void BM_SimpleSort(benchmark::State& state) {
-  const MeshSpec spec{static_cast<int>(state.range(0)),
-                      static_cast<int>(state.range(1)), Wrap::kMesh};
-  SortOptions opts;
-  opts.g = static_cast<int>(state.range(2));
-  opts.seed = 12345;
-  SortRow row;
-  for (auto _ : state) {
-    row = RunSortExperiment(SortAlgo::kSimple, spec, opts);
-    benchmark::DoNotOptimize(row.result.routing_steps);
-  }
-  state.counters["routing"] = static_cast<double>(row.result.routing_steps);
-  state.counters["ratio"] = row.ratio;
-  state.counters["claimed"] = row.claimed;
-  state.counters["sorted"] = row.result.sorted ? 1 : 0;
-  state.counters["max_queue"] = static_cast<double>(row.result.max_queue);
-}
-
-BENCHMARK(BM_SimpleSort)
-    ->Args({2, 64, 4})
-    ->Args({2, 128, 8})
-    ->Args({3, 32, 4})
-    ->Args({4, 16, 4})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace mdmesh
 
 int main(int argc, char** argv) {
-  const mdmesh::OutputFlags flags = mdmesh::ParseOutputFlags(&argc, argv);
+  mdmesh::Cli cli("bench_simplesort",
+                  "E4: SimpleSort vs the FullSort baseline (Theorem 3.1)");
+  mdmesh::AddOutputFlags(cli);
+  if (!cli.Parse(argc, argv)) return 2;
+  const mdmesh::OutputFlags flags = mdmesh::GetOutputFlags(cli);
   mdmesh::PrintReproductionTable(flags);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -5,8 +5,6 @@
 // Shape to reproduce: ratio(TorusSort) near 1.5 and below FullSort; the
 // Lemma 3.4 audit shows survivors never travel beyond D/2 + O(b) — exact
 // for the antipodal copy placement (DESIGN.md §2).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <vector>
 
@@ -71,37 +69,16 @@ void PrintReproductionTable(const OutputFlags& flags) {
   std::printf("\n");
 }
 
-void BM_TorusSort(benchmark::State& state) {
-  const MeshSpec spec{static_cast<int>(state.range(0)),
-                      static_cast<int>(state.range(1)), Wrap::kTorus};
-  SortOptions opts;
-  opts.g = static_cast<int>(state.range(2));
-  opts.seed = 777;
-  SortRow row;
-  for (auto _ : state) {
-    row = RunSortExperiment(SortAlgo::kTorus, spec, opts);
-    benchmark::DoNotOptimize(row.result.routing_steps);
-  }
-  state.counters["routing"] = static_cast<double>(row.result.routing_steps);
-  state.counters["ratio"] = row.ratio;
-  state.counters["claimed"] = row.claimed;
-  state.counters["sorted"] = row.result.sorted ? 1 : 0;
-}
-
-BENCHMARK(BM_TorusSort)
-    ->Args({2, 128, 8})
-    ->Args({3, 32, 4})
-    ->Args({4, 16, 4})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace mdmesh
 
 int main(int argc, char** argv) {
-  const mdmesh::OutputFlags flags = mdmesh::ParseOutputFlags(&argc, argv);
+  mdmesh::Cli cli("bench_torussort",
+                  "E8: TorusSort vs the FullSort baseline on tori (Theorem "
+                  "3.3)");
+  mdmesh::AddOutputFlags(cli);
+  if (!cli.Parse(argc, argv)) return 2;
+  const mdmesh::OutputFlags flags = mdmesh::GetOutputFlags(cli);
   mdmesh::PrintReproductionTable(flags);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

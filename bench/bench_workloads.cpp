@@ -6,8 +6,6 @@
 // policy. The workload_wall records (BENCH_workloads.json) feed the CI
 // perf-smoke guard (scripts/check_perf_regression.py) alongside the engine
 // bench.
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstdio>
 #include <sstream>
@@ -307,34 +305,15 @@ void RunAllAndReport(const OutputFlags& flags) {
   json.WriteFile(flags.json);
 }
 
-void BM_OpenLoopUniform(benchmark::State& state) {
-  const MeshSpec spec{static_cast<int>(state.range(0)),
-                      static_cast<int>(state.range(1)), Wrap::kMesh};
-  const Topology topo = spec.Build();
-  TrafficPattern pattern(topo, PatternKind::kUniform, 17);
-  DriverOptions dopts = Windows(/*quick=*/true);
-  dopts.rate = 0.1;
-  dopts.drain = true;
-  for (auto _ : state) {
-    WorkloadResult r = RunOpenLoop(topo, pattern, dopts);
-    benchmark::DoNotOptimize(r.route.moves);
-  }
-  state.counters["procs"] = static_cast<double>(spec.size());
-}
-
-BENCHMARK(BM_OpenLoopUniform)
-    ->Args({2, 16})
-    ->Args({2, 32})
-    ->Args({3, 8})
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace mdmesh
 
 int main(int argc, char** argv) {
-  const mdmesh::OutputFlags flags = mdmesh::ParseOutputFlags(&argc, argv);
+  mdmesh::Cli cli("bench_workloads",
+                  "E22/E23: open-loop latency and saturation");
+  mdmesh::AddOutputFlags(cli);
+  if (!cli.Parse(argc, argv)) return 2;
+  const mdmesh::OutputFlags flags = mdmesh::GetOutputFlags(cli);
   mdmesh::RunAllAndReport(flags);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -37,16 +37,11 @@ std::atomic<bool> g_shutdown{false};
 void OnSignal(int) { g_shutdown.store(true, std::memory_order_release); }
 
 void InstallShutdownHandlers() {
-#if !defined(_WIN32)
   struct sigaction sa = {};
   sa.sa_handler = OnSignal;
   sigemptyset(&sa.sa_mask);
   sigaction(SIGTERM, &sa, nullptr);
   sigaction(SIGINT, &sa, nullptr);
-#else
-  std::signal(SIGTERM, OnSignal);
-  std::signal(SIGINT, OnSignal);
-#endif
 }
 
 }  // namespace

@@ -4,11 +4,9 @@
 #include <cstdio>
 #include <cstring>
 
-#if !defined(_WIN32)
 #include <dirent.h>
 #include <sys/stat.h>
 #include <sys/types.h>
-#endif
 
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -38,14 +36,10 @@ bool ParseCheckpointName(const char* name, std::int64_t* step) {
 /// Creates `dir` if it is missing. A directory it creates has its name made
 /// durable before any checkpoint goes into it.
 bool EnsureDir(const std::string& dir) {
-#if !defined(_WIN32)
   if (::mkdir(dir.c_str(), 0755) == 0) {
     return SyncParentDirectory(dir, nullptr);
   }
   return errno == EEXIST;
-#else
-  return true;
-#endif
 }
 
 }  // namespace
@@ -114,7 +108,6 @@ void CheckpointManager::Save(const EngineCheckpointState& state,
 std::vector<CheckpointFileInfo> CheckpointManager::ListCheckpoints(
     const std::string& dir) {
   std::vector<CheckpointFileInfo> out;
-#if !defined(_WIN32)
   DIR* d = ::opendir(dir.c_str());
   if (d == nullptr) return out;
   while (const dirent* ent = ::readdir(d)) {
@@ -123,7 +116,6 @@ std::vector<CheckpointFileInfo> CheckpointManager::ListCheckpoints(
     out.push_back({dir + "/" + ent->d_name, step});
   }
   ::closedir(d);
-#endif
   std::sort(out.begin(), out.end(),
             [](const CheckpointFileInfo& a, const CheckpointFileInfo& b) {
               return a.step < b.step;

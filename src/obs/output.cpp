@@ -96,96 +96,6 @@ OutputFlags GetOutputFlags(const Cli& cli) {
   return flags;
 }
 
-OutputFlags ParseOutputFlags(int* argc, char** argv) {
-  OutputFlags flags;
-  // One table drives every value flag so the two accepted forms
-  // (--flag=value, --flag value) cannot drift apart between flags.
-  // --metrics-port parses through a string staging slot so the table stays
-  // uniform; the int conversion happens once at the end.
-  std::string metrics_port;
-  std::string checkpoint_every;
-  std::string checkpoint_keep;
-  std::string journey_rate_pm;
-  std::string journey_seed;
-  struct ValueFlag {
-    const char* name;
-    std::size_t len;
-    std::string* target;
-  };
-  // "--checkpoint" cannot swallow "--checkpoint-every": a prefix hit only
-  // counts when the next character is '\0' or '='.
-  const ValueFlag value_flags[] = {
-      {"--json", 6, &flags.json},
-      {"--trace-csv", 11, &flags.trace_csv},
-      {"--perfetto", 10, &flags.perfetto},
-      {"--metrics-port", 14, &metrics_port},
-      {"--status-file", 13, &flags.status_file},
-      {"--flight-recorder", 17, &flags.flight_recorder},
-      {"--checkpoint", 12, &flags.checkpoint},
-      {"--checkpoint-every", 18, &checkpoint_every},
-      {"--checkpoint-keep", 17, &checkpoint_keep},
-      {"--journeys", 10, &flags.journeys},
-      {"--journey-rate-pm", 17, &journey_rate_pm},
-      {"--journey-seed", 14, &journey_seed},
-      {"--journey-watch", 15, &flags.journey_watch},
-  };
-  int w = 1;
-  for (int r = 1; r < *argc; ++r) {
-    const char* arg = argv[r];
-    const ValueFlag* hit = nullptr;
-    for (const ValueFlag& vf : value_flags) {
-      if (std::strncmp(arg, vf.name, vf.len) == 0 &&
-          (arg[vf.len] == '\0' || arg[vf.len] == '=')) {
-        hit = &vf;
-        break;
-      }
-    }
-    if (hit == nullptr) {
-      if (std::strcmp(arg, "--quick") == 0) {
-        flags.quick = true;
-      } else if (std::strcmp(arg, "--mega") == 0) {
-        flags.mega = true;
-      } else if (std::strcmp(arg, "--resume") == 0) {
-        flags.resume = true;
-      } else if (std::strcmp(arg, "--progress") == 0) {
-        flags.progress = true;
-      } else if (std::strcmp(arg, "--perf") == 0) {
-        flags.perf = true;
-      } else {
-        argv[w++] = argv[r];
-      }
-      continue;
-    }
-    if (arg[hit->len] == '=') {
-      *hit->target = arg + hit->len + 1;
-    } else if (r + 1 < *argc) {
-      *hit->target = argv[++r];
-    } else {
-      std::fprintf(stderr, "error: %s requires a value (%s=PATH or %s PATH)\n",
-                   hit->name, hit->name, hit->name);
-      std::exit(2);
-    }
-  }
-  *argc = w;
-  if (!metrics_port.empty()) {
-    flags.metrics_port = std::strtoll(metrics_port.c_str(), nullptr, 10);
-  }
-  if (!checkpoint_every.empty()) {
-    flags.checkpoint_every =
-        std::strtoll(checkpoint_every.c_str(), nullptr, 10);
-  }
-  if (!checkpoint_keep.empty()) {
-    flags.checkpoint_keep = std::strtoll(checkpoint_keep.c_str(), nullptr, 10);
-  }
-  if (!journey_rate_pm.empty()) {
-    flags.journey_rate_pm = std::strtoll(journey_rate_pm.c_str(), nullptr, 10);
-  }
-  if (!journey_seed.empty()) {
-    flags.journey_seed = std::strtoll(journey_seed.c_str(), nullptr, 10);
-  }
-  return flags;
-}
-
 JourneyTracer::Options JourneyOptionsFromFlags(const OutputFlags& flags) {
   JourneyTracer::Options opts;
   opts.sample_rate = static_cast<double>(flags.journey_rate_pm) / 1000.0;

@@ -34,12 +34,11 @@
 //                           bench_engine's n=4096 2D record; several GB
 //                           of RSS, minutes of wall time)
 //
-// Examples register them on their Cli via AddOutputFlags/GetOutputFlags.
-// Bench binaries cannot use Cli (google-benchmark parses argv itself), so
-// ParseOutputFlags extracts just these flags from argc/argv in place and
-// leaves everything else for benchmark::Initialize. Every value flag
-// accepts both `--flag=value` and `--flag value`; a trailing value flag
-// with no value is a usage error (exit 2).
+// Benches and examples register them on their Cli via AddOutputFlags and
+// read them back with GetOutputFlags. Every value flag accepts both
+// `--flag=value` and `--flag value`; a misspelt flag, a malformed number or
+// a trailing value flag with no value fails Cli::Parse, and the binary
+// exits 2.
 #pragma once
 
 #include <fstream>
@@ -98,9 +97,7 @@ struct OutputFlags {
   }
 };
 
-/// Registers --json, --trace-csv, --perfetto, --metrics-port,
-/// --status-file, --flight-recorder, --checkpoint, --checkpoint-every,
-/// --checkpoint-keep, --resume, --progress, --perf, and --quick on `cli`.
+/// Registers every flag listed at the top of this file on `cli`.
 void AddOutputFlags(Cli& cli);
 
 /// Reads the flags registered by AddOutputFlags back from a parsed Cli.
@@ -110,13 +107,6 @@ OutputFlags GetOutputFlags(const Cli& cli);
 /// a [0, 1] fraction, the seed verbatim, and the comma-separated watch
 /// list parsed into ids (malformed entries are skipped).
 JourneyTracer::Options JourneyOptionsFromFlags(const OutputFlags& flags);
-
-/// Extracts --json/--trace-csv/--perfetto/--quick from argv (uniformly
-/// both `--flag=value` and `--flag value` forms for every value flag),
-/// compacting argv and updating *argc so that unrecognized flags survive
-/// for a downstream parser. A value flag at the end of argv with no value
-/// prints an error and exits with status 2.
-OutputFlags ParseOutputFlags(int* argc, char** argv);
 
 /// Opens `path` for writing. On failure, prints a clear error naming the
 /// responsible flag (e.g. "--json") to stderr and exits with status 1 —

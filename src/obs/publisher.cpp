@@ -8,16 +8,11 @@
 #include "util/atomic_file.h"
 #include "util/net.h"
 
-#if defined(_WIN32)
-// No POSIX sockets / isatty here; the publisher degrades to status-file
-// only and the progress meter defaults off.
-#else
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 namespace mdmesh {
 namespace {
@@ -51,7 +46,6 @@ bool MetricsPublisher::Start(const Options& opts) {
   listen_fd_ = -1;
   port_ = -1;
 
-#if !defined(_WIN32)
   if (opts_.port >= 0) {
     // Shared helper (util/net.h): loopback bind with the service-grade
     // backlog — the old backlog of 8 was sized for a single scraper and
@@ -64,13 +58,6 @@ bool MetricsPublisher::Start(const Options& opts) {
       return false;
     }
   }
-#else
-  if (opts_.port >= 0) {
-    std::fprintf(stderr,
-                 "metrics publisher: HTTP endpoint unavailable on this "
-                 "platform; serving status file only\n");
-  }
-#endif
 
   stop_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
@@ -83,12 +70,10 @@ void MetricsPublisher::Stop() {
   stop_.store(true, std::memory_order_release);
   if (thread_.joinable()) thread_.join();
   running_.store(false, std::memory_order_release);
-#if !defined(_WIN32)
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-#endif
   // Final snapshot so the file shows end-of-run totals, not the last tick.
   WriteStatusFile();
   port_ = -1;
@@ -121,7 +106,6 @@ void MetricsPublisher::WriteStatusFile() {
   snapshots_.fetch_add(1, std::memory_order_relaxed);
 }
 
-#if !defined(_WIN32)
 void MetricsPublisher::ServeOne(int client_fd) {
   // Frame the request head (up to the blank line): a GET may arrive split
   // across TCP segments. One deadline covers the whole head, so a client
@@ -162,9 +146,6 @@ void MetricsPublisher::ServeOne(int client_fd) {
   SendAll(client_fd, resp.str());
   requests_.fetch_add(1, std::memory_order_relaxed);
 }
-#else
-void MetricsPublisher::ServeOne(int) {}
-#endif
 
 void MetricsPublisher::Run() {
   std::int64_t next_snapshot_ms = SteadyMs();
@@ -177,7 +158,6 @@ void MetricsPublisher::Run() {
       next_snapshot_ms =
           now + (opts_.interval_ms > 0 ? opts_.interval_ms : 1000);
     }
-#if !defined(_WIN32)
     if (listen_fd_ >= 0) {
       pollfd pfd{};
       pfd.fd = listen_fd_;
@@ -218,7 +198,6 @@ void MetricsPublisher::Run() {
       }
       continue;
     }
-#endif
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
 }
@@ -227,13 +206,7 @@ void MetricsPublisher::Run() {
 // ProgressMeter
 // ---------------------------------------------------------------------------
 
-bool ProgressMeter::StderrIsTty() {
-#if defined(_WIN32)
-  return false;
-#else
-  return ::isatty(2) != 0;
-#endif
-}
+bool ProgressMeter::StderrIsTty() { return ::isatty(2) != 0; }
 
 ProgressMeter::ProgressMeter(std::int64_t step_cap, std::int64_t interval_ms,
                              bool force)

@@ -10,21 +10,14 @@
 
 #include "util/net.h"
 
-#if !defined(_WIN32)
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 namespace mdmesh {
 namespace {
-
-// Per-connection read deadline. Requests are loopback JSON blobs; anything
-// that takes longer than this to arrive is a stuck client, and the server
-// must not let it stall every other request behind the single-thread loop.
-constexpr int kReadTimeoutMs = 2000;
 
 std::string FormatResponse(const HttpResponse& resp) {
   std::ostringstream os;
@@ -129,7 +122,6 @@ void HttpServer::Stop() {
 }
 
 void HttpServer::Run() {
-#if !defined(_WIN32)
   // Escalating backoff under fd exhaustion: start small so a transient
   // spike recovers fast, cap at 1 s so the listener keeps draining.
   int backoff_ms = 10;
@@ -162,12 +154,16 @@ void HttpServer::Run() {
         return;
     }
   }
-#endif
 }
 
 void HttpServer::ServeOne(int client_fd) {
   // Frame the request: headers up to the blank line, then Content-Length
-  // bytes of body.
+  // bytes of body. One deadline covers the whole read, so a client that
+  // sends nothing, or drips bytes, holds this thread (and Stop()'s join)
+  // for at most kReadTimeoutMs; a request not complete by then is dropped
+  // unanswered.
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(kReadTimeoutMs);
   std::string data;
   std::size_t head_end = std::string::npos;
   std::size_t content_length = 0;
@@ -200,10 +196,18 @@ void HttpServer::ServeOne(int client_fd) {
               FormatResponse({413, "text/plain", "request too large\n"}));
       return;
     }
-    const int n = RecvSome(client_fd, buf, sizeof(buf), kReadTimeoutMs);
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+    const int n =
+        left > 0
+            ? RecvSome(client_fd, buf, sizeof(buf), static_cast<int>(left))
+            : -1;
     if (n <= 0) {
-      if (parsed) break;  // peer closed after headers with a short body
-      return;             // nothing parseable arrived
+      // A peer that closed after the headers is served the body it sent;
+      // the deadline passing (-1) or a socket error drops the request.
+      if (n == 0 && parsed) break;
+      return;
     }
     data.append(buf, static_cast<std::size_t>(n));
   }
@@ -224,10 +228,6 @@ HttpResult HttpFetch(int port, const std::string& method,
                      const std::string& target, const std::string& body,
                      int timeout_ms) {
   HttpResult result;
-#if defined(_WIN32)
-  result.error = "POSIX sockets unavailable on this platform";
-  return result;
-#else
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     result.error = std::string("socket: ") + std::strerror(errno);
@@ -282,7 +282,6 @@ HttpResult HttpFetch(int port, const std::string& method,
       head_end == std::string::npos ? "" : data.substr(head_end + 4);
   result.ok = true;
   return result;
-#endif
 }
 
 }  // namespace mdmesh

@@ -47,7 +47,7 @@ class HttpServer {
   HttpServer& operator=(const HttpServer&) = delete;
 
   /// Binds 127.0.0.1:`port` (0 = ephemeral) and starts the serving thread.
-  /// Returns false with *error set on bind failure or non-POSIX platforms.
+  /// Returns false with *error set on bind failure.
   bool Start(int port, Handler handler, std::string* error = nullptr);
 
   /// Stops the serving thread and closes the listener. Idempotent.
@@ -70,6 +70,12 @@ class HttpServer {
   /// get 413. Specs are a few hundred bytes; 1 MiB leaves headroom for
   /// batch submissions without letting a client balloon server memory.
   static constexpr std::size_t kMaxRequestBytes = 1 << 20;
+
+  /// Deadline for one whole request, head and body, to arrive. Requests are
+  /// loopback JSON blobs; a client slower than this is stuck, and the
+  /// single serving thread drops it rather than stall every other request
+  /// (and Stop()) behind it.
+  static constexpr int kReadTimeoutMs = 2000;
 
  private:
   void Run();

@@ -5,10 +5,8 @@
 #include <cstring>
 #include <filesystem>
 
-#if !defined(_WIN32)
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 namespace mdmesh {
 namespace {
@@ -20,8 +18,6 @@ void SetError(std::string* error, const std::string& what) {
 }
 
 }  // namespace
-
-#if !defined(_WIN32)
 
 bool WriteAll(int fd, const void* data, std::size_t size) {
   const auto* p = static_cast<const char*>(data);
@@ -96,45 +92,6 @@ bool SyncParentDirectory(const std::string& path, std::string* error) {
   const std::filesystem::path parent = p.parent_path();
   return SyncDirectory(parent.empty() ? "." : parent.string(), error);
 }
-
-#else  // _WIN32: stdio fallback, no fsync (the repo's CI targets POSIX).
-
-bool WriteFileAtomic(const std::string& path,
-                     std::initializer_list<std::string_view> pieces,
-                     std::string* error, DirSync dir_sync) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    SetError(error, "open " + tmp);
-    return false;
-  }
-  bool wrote = true;
-  for (const std::string_view piece : pieces) {
-    wrote = wrote && (piece.empty() ||
-                      std::fwrite(piece.data(), 1, piece.size(), f) ==
-                          piece.size());
-  }
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    SetError(error, "write " + tmp);
-    std::remove(tmp.c_str());
-    return false;
-  }
-  (void)dir_sync;  // no fsync on this fallback
-  std::remove(path.c_str());  // rename does not replace on Windows
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    SetError(error, "rename " + tmp + " -> " + path);
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
-bool SyncDirectory(const std::string&, std::string*) { return true; }
-
-bool SyncParentDirectory(const std::string&, std::string*) { return true; }
-
-#endif
 
 bool WriteFileAtomic(const std::string& path, const void* data,
                      std::size_t size, std::string* error, DirSync dir_sync) {

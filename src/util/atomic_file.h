@@ -50,10 +50,8 @@ bool SyncDirectory(const std::string& dir, std::string* error);
 /// part.
 bool SyncParentDirectory(const std::string& path, std::string* error);
 
-#if !defined(_WIN32)
 /// write(2)s all `size` bytes to `fd`, retrying short writes and EINTR.
 /// False on failure, with errno set.
 bool WriteAll(int fd, const void* data, std::size_t size);
-#endif
 
 }  // namespace mdmesh

@@ -1,10 +1,27 @@
 #include "util/cli.h"
 
+#include <charconv>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
 namespace mdmesh {
+namespace {
+
+/// The whole of `text` as a base-10 int64: no sign but '-', no blanks, no
+/// trailing characters, nothing out of range.
+bool ParseInt(const std::string& text, std::int64_t* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+bool IsBoolText(const std::string& v) {
+  return v == "1" || v == "0" || v == "true" || v == "false" || v == "yes" ||
+         v == "no";
+}
+
+}  // namespace
 
 Cli::Cli(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
@@ -70,6 +87,17 @@ bool Cli::Parse(int argc, const char* const* argv) {
         return false;
       }
     }
+    const Kind kind = it->second.kind;
+    std::int64_t parsed = 0;
+    if ((kind == Kind::kInt && !ParseInt(value, &parsed)) ||
+        (kind == Kind::kBool && !IsBoolText(value))) {
+      std::fprintf(stderr, "flag '--%s' expects %s, got '%s'\n%s",
+                   name.c_str(),
+                   kind == Kind::kInt ? "a base-10 64-bit integer"
+                                      : "1, 0, true, false, yes or no",
+                   value.c_str(), Usage().c_str());
+      return false;
+    }
     it->second.value = value;
   }
   return true;
@@ -84,7 +112,9 @@ const Cli::Flag& Cli::Find(const std::string& name, Kind kind) const {
 }
 
 std::int64_t Cli::GetInt(const std::string& name) const {
-  return std::stoll(Find(name, Kind::kInt).value);
+  std::int64_t v = 0;
+  ParseInt(Find(name, Kind::kInt).value, &v);
+  return v;
 }
 
 std::string Cli::GetString(const std::string& name) const {

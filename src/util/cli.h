@@ -1,7 +1,9 @@
-// Tiny command-line flag parser for the example binaries.
+// Tiny command-line flag parser for the bench and example binaries.
 //
 // Supports `--name=value`, `--name value`, and boolean `--name`. Unknown
-// flags are an error so typos surface immediately. Flag names may be given
+// flags are an error so typos surface immediately, and so are malformed
+// values: an int flag's whole value must be a base-10 int64, and a bool
+// flag takes only 1/0/true/false/yes/no. Flag names may be given
 // with or without the leading dashes ("json" and "--json" register and look
 // up the same flag), so call sites can spell the flag the way the user
 // types it.

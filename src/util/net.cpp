@@ -4,31 +4,13 @@
 #include <chrono>
 #include <cstring>
 
-#if !defined(_WIN32)
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 namespace mdmesh {
-
-#if defined(_WIN32)
-
-int ListenLoopback(int, int, int*, std::string* error) {
-  if (error != nullptr) *error = "POSIX sockets unavailable on this platform";
-  return -1;
-}
-AcceptStatus AcceptClient(int, int*, std::string* diag) {
-  if (diag != nullptr) *diag = "POSIX sockets unavailable on this platform";
-  return AcceptStatus::kFatal;
-}
-int RecvSome(int, char*, std::size_t, int) { return -2; }
-bool SendAll(int, const std::string&) { return false; }
-void CloseFd(int) {}
-
-#else
 
 int ListenLoopback(int port, int backlog, int* bound_port,
                    std::string* error) {
@@ -139,7 +121,5 @@ bool SendAll(int fd, const std::string& data) {
 void CloseFd(int fd) {
   if (fd >= 0) ::close(fd);
 }
-
-#endif  // _WIN32
 
 }  // namespace mdmesh

@@ -1,7 +1,5 @@
 // Shared loopback-socket helpers for the HTTP surfaces (obs/publisher and
-// serve/http). POSIX only: on _WIN32 every call fails cleanly so callers
-// degrade (the publisher falls back to status files; the server refuses to
-// start) without platform #ifdefs at each call site.
+// serve/http), over POSIX sockets.
 //
 // The accept path encodes the hardening the single-client publisher
 // originally skipped: accept() is retried through EINTR (a SIGTERM aimed at
@@ -48,7 +46,7 @@ int RecvSome(int fd, char* buf, std::size_t cap, int timeout_ms);
 /// Writes the whole buffer; returns false on error/short write.
 bool SendAll(int fd, const std::string& data);
 
-/// close() wrapper (no-op on fd < 0 / non-POSIX).
+/// close() wrapper (no-op on fd < 0).
 void CloseFd(int fd);
 
 }  // namespace mdmesh

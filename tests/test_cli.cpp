@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/output.h"
@@ -97,41 +99,80 @@ TEST(CliTest, DashedRegistrationIsNormalized) {
   EXPECT_TRUE(cli.GetBool("quick"));
 }
 
-// ParseOutputFlags tests work on mutable argv copies, as main() would pass.
-struct ArgvFixture {
-  explicit ArgvFixture(std::vector<std::string> args) : storage(std::move(args)) {
-    for (std::string& s : storage) argv.push_back(s.data());
-    argc = static_cast<int>(argv.size());
-  }
-  std::vector<std::string> storage;
-  std::vector<char*> argv;
-  int argc = 0;
-};
-
-TEST(OutputFlagsTest, ParseExtractsAndCompactsArgv) {
-  ArgvFixture fx({"prog", "--json=out.json", "--benchmark_filter=NONE",
-                  "--trace-csv", "t.csv", "--quick"});
-  OutputFlags flags = ParseOutputFlags(&fx.argc, fx.argv.data());
-  EXPECT_EQ(flags.json, "out.json");
-  EXPECT_EQ(flags.trace_csv, "t.csv");
-  EXPECT_TRUE(flags.quick);
-  EXPECT_TRUE(flags.WantsJson());
-  EXPECT_TRUE(flags.WantsTrace());
-  // Unrecognized flags survive for the downstream parser, in order.
-  ASSERT_EQ(fx.argc, 2);
-  EXPECT_STREQ(fx.argv[0], "prog");
-  EXPECT_STREQ(fx.argv[1], "--benchmark_filter=NONE");
+TEST(CliTest, IntFlagRejectsNonNumericValue) {
+  Cli cli = MakeCli();
+  const char* argv[] = {"prog", "--n=abc"};
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(cli.Parse(2, argv));
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  // The message names the flag and the bad value, then prints the usage.
+  EXPECT_NE(err.find("'--n'"), std::string::npos) << err;
+  EXPECT_NE(err.find("'abc'"), std::string::npos) << err;
+  EXPECT_NE(err.find("flags:"), std::string::npos) << err;
 }
 
-TEST(OutputFlagsTest, ParseLeavesUnrelatedArgvUntouched) {
-  ArgvFixture fx({"prog", "--benchmark_list_tests", "positional"});
-  OutputFlags flags = ParseOutputFlags(&fx.argc, fx.argv.data());
-  EXPECT_FALSE(flags.WantsJson());
-  EXPECT_FALSE(flags.WantsTrace());
-  EXPECT_FALSE(flags.quick);
-  ASSERT_EQ(fx.argc, 3);
-  EXPECT_STREQ(fx.argv[1], "--benchmark_list_tests");
-  EXPECT_STREQ(fx.argv[2], "positional");
+TEST(CliTest, IntFlagRejectsTrailingCharacters) {
+  for (const char* arg : {"--n=3x", "--n=3 ", "--n=1.5", "--n=0x10"}) {
+    Cli cli = MakeCli();
+    const char* argv[] = {"prog", arg};
+    EXPECT_FALSE(cli.Parse(2, argv)) << arg;
+  }
+}
+
+TEST(CliTest, IntFlagRejectsEmptyValue) {
+  Cli cli = MakeCli();
+  const char* argv[] = {"prog", "--n="};
+  EXPECT_FALSE(cli.Parse(2, argv));
+}
+
+TEST(CliTest, IntFlagRejectsOutOfRangeValue) {
+  for (const char* arg :
+       {"--n=9223372036854775808", "--n=-9223372036854775809"}) {
+    Cli cli = MakeCli();
+    const char* argv[] = {"prog", arg};
+    EXPECT_FALSE(cli.Parse(2, argv)) << arg;
+  }
+  // The int64 extremes themselves are values like any other.
+  Cli cli = MakeCli();
+  const char* argv[] = {"prog", "--n=-9223372036854775808"};
+  ASSERT_TRUE(cli.Parse(2, argv));
+  EXPECT_EQ(cli.GetInt("n"), std::numeric_limits<std::int64_t>::min());
+}
+
+TEST(CliTest, IntFlagRejectsMalformedSpaceFormValue) {
+  Cli cli = MakeCli();
+  const char* argv[] = {"prog", "--n", "abc"};
+  EXPECT_FALSE(cli.Parse(3, argv));
+}
+
+TEST(CliTest, BoolFlagAcceptsOnlyTheSixSpellings) {
+  for (const auto& [text, want] :
+       {std::pair<const char*, bool>{"1", true}, {"true", true},
+        {"yes", true}, {"0", false}, {"false", false}, {"no", false}}) {
+    Cli cli = MakeCli();
+    const std::string arg = std::string("--verbose=") + text;
+    const char* argv[] = {"prog", arg.c_str()};
+    ASSERT_TRUE(cli.Parse(2, argv)) << arg;
+    EXPECT_EQ(cli.GetBool("verbose"), want) << arg;
+  }
+  for (const char* arg :
+       {"--verbose=maybe", "--verbose=2", "--verbose=on", "--verbose=",
+        "--verbose=TRUE"}) {
+    Cli cli = MakeCli();
+    const char* argv[] = {"prog", arg};
+    EXPECT_FALSE(cli.Parse(2, argv)) << arg;
+  }
+}
+
+// Parses `args` through a Cli carrying exactly the shared output flags, as
+// every bench and flag-taking example does.
+OutputFlags ParseOutputArgs(const std::vector<std::string>& args) {
+  Cli cli("prog", "test program");
+  AddOutputFlags(cli);
+  std::vector<const char*> argv = {"prog"};
+  for (const std::string& a : args) argv.push_back(a.c_str());
+  EXPECT_TRUE(cli.Parse(static_cast<int>(argv.size()), argv.data()));
+  return GetOutputFlags(cli);
 }
 
 TEST(OutputFlagsTest, RegisteredFlagsRoundTripThroughCli) {
@@ -149,46 +190,45 @@ TEST(OutputFlagsTest, RegisteredFlagsRoundTripThroughCli) {
 }
 
 TEST(OutputFlagsTest, EveryValueFlagAcceptsEqualsAndSpaceForms) {
-  // The three value flags share one parse table; both accepted forms must
+  // Every value flag AddOutputFlags registers; both accepted forms must
   // behave identically for each of them.
-  struct Case {
-    const char* flag;
-    std::string OutputFlags::* member;
-  };
-  const Case cases[] = {
+  const std::pair<const char*, std::string OutputFlags::*> string_flags[] = {
       {"--json", &OutputFlags::json},
       {"--trace-csv", &OutputFlags::trace_csv},
       {"--perfetto", &OutputFlags::perfetto},
+      {"--status-file", &OutputFlags::status_file},
+      {"--flight-recorder", &OutputFlags::flight_recorder},
+      {"--checkpoint", &OutputFlags::checkpoint},
+      {"--journeys", &OutputFlags::journeys},
+      {"--journey-watch", &OutputFlags::journey_watch},
   };
-  for (const Case& c : cases) {
-    {
-      ArgvFixture fx({"prog", std::string(c.flag) + "=out.path"});
-      OutputFlags flags = ParseOutputFlags(&fx.argc, fx.argv.data());
-      EXPECT_EQ(flags.*(c.member), "out.path") << c.flag << " (equals form)";
-      EXPECT_EQ(fx.argc, 1) << c.flag;
-    }
-    {
-      ArgvFixture fx({"prog", c.flag, "out.path"});
-      OutputFlags flags = ParseOutputFlags(&fx.argc, fx.argv.data());
-      EXPECT_EQ(flags.*(c.member), "out.path") << c.flag << " (space form)";
-      EXPECT_EQ(fx.argc, 1) << c.flag;
-    }
+  for (const auto& [flag, member] : string_flags) {
+    const std::string eq = std::string(flag) + "=out.path";
+    EXPECT_EQ(ParseOutputArgs({eq}).*member, "out.path")
+        << flag << " (equals form)";
+    EXPECT_EQ(ParseOutputArgs({flag, "out.path"}).*member, "out.path")
+        << flag << " (space form)";
+  }
+  const std::pair<const char*, std::int64_t OutputFlags::*> int_flags[] = {
+      {"--metrics-port", &OutputFlags::metrics_port},
+      {"--checkpoint-every", &OutputFlags::checkpoint_every},
+      {"--checkpoint-keep", &OutputFlags::checkpoint_keep},
+      {"--journey-rate-pm", &OutputFlags::journey_rate_pm},
+      {"--journey-seed", &OutputFlags::journey_seed},
+  };
+  for (const auto& [flag, member] : int_flags) {
+    const std::string eq = std::string(flag) + "=42";
+    EXPECT_EQ(ParseOutputArgs({eq}).*member, 42) << flag << " (equals form)";
+    EXPECT_EQ(ParseOutputArgs({flag, "42"}).*member, 42)
+        << flag << " (space form)";
   }
 }
 
-TEST(OutputFlagsTest, PerfettoExtractsAndCompactsArgv) {
-  ArgvFixture fx({"prog", "--perfetto", "t.json", "--benchmark_filter=NONE"});
-  OutputFlags flags = ParseOutputFlags(&fx.argc, fx.argv.data());
-  EXPECT_EQ(flags.perfetto, "t.json");
-  EXPECT_TRUE(flags.WantsPerfetto());
-  ASSERT_EQ(fx.argc, 2);
-  EXPECT_STREQ(fx.argv[1], "--benchmark_filter=NONE");
-}
-
-TEST(OutputFlagsDeathTest, TrailingValueFlagExitsWithStatus2) {
-  ArgvFixture fx({"prog", "--perfetto"});
-  EXPECT_EXIT(ParseOutputFlags(&fx.argc, fx.argv.data()),
-              ::testing::ExitedWithCode(2), "--perfetto requires a value");
+TEST(OutputFlagsTest, TrailingValueFlagFailsParse) {
+  Cli cli("prog", "test program");
+  AddOutputFlags(cli);
+  const char* argv[] = {"prog", "--perfetto"};
+  EXPECT_FALSE(cli.Parse(2, argv));
 }
 
 }  // namespace

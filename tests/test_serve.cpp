@@ -8,7 +8,13 @@
 // reference runs.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -486,6 +492,53 @@ TEST(HttpServer, OversizedRequestsAreSheddedNotServed) {
   ASSERT_TRUE(after.ok) << after.error;
   EXPECT_EQ(after.status, 200);
   EXPECT_EQ(after.body, "served");
+}
+
+TEST(HttpServer, DripFeedingClientCannotHoldTheServer) {
+  HttpServer server;
+  std::string error;
+  ASSERT_TRUE(server.Start(0,
+                           [](const HttpRequest&) -> HttpResponse {
+                             return {200, "text/plain", "ok"};
+                           },
+                           &error))
+      << error;
+  // A raw client that sends one byte of a request head every 250 ms and
+  // never finishes it. Each byte lands well inside any per-read timeout, so
+  // only a deadline on the whole request frees the single serving thread.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  std::atomic<bool> done{false};
+  std::thread dripper([&] {
+    // Gives up after 5 s, so a server without the deadline fails the timing
+    // check below instead of hanging the suite.
+    for (int i = 0; i < 20 && !done.load(); ++i) {
+      if (::send(fd, "G", 1, MSG_NOSIGNAL) != 1) break;  // server hung up
+      std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    }
+    ::shutdown(fd, SHUT_RDWR);
+  });
+  // Let the server accept the dripping connection first (it polls every
+  // 50 ms), so the request below queues behind it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const auto t0 = std::chrono::steady_clock::now();
+  const HttpResult r = HttpFetch(server.port(), "GET", "/healthz", "", 10000);
+  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+  done.store(true);
+  dripper.join();
+  ::close(fd);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.status, 200);
+  EXPECT_LE(ms, HttpServer::kReadTimeoutMs + 1000);
+  EXPECT_EQ(server.requests_served(), 1);  // the drip was never answered
 }
 
 // ---------------------------------------------------------------------------

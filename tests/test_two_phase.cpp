@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -68,6 +69,10 @@ struct PinCase {
   std::int64_t max_queue;
   std::int64_t min_s_size;
 };
+
+// gtest would otherwise dump PinCase's bytes, std::string pointers
+// included, into the ctest name, which then changes with every build.
+void PrintTo(const PinCase& c, std::ostream* os) { *os << c.name; }
 
 class TwoPhasePinTest : public ::testing::TestWithParam<PinCase> {};
 
