@@ -67,6 +67,12 @@ void CheckpointManager::Save(const EngineCheckpointState& state,
   if (!dir_ready_) dir_ready_ = EnsureDir(opts_.dir);
 
   const std::string path = opts_.dir + "/" + CheckpointName(state.step);
+  // The generation the last rotation retired waits under the spare name,
+  // which ParseCheckpointName rejects. It becomes this save's temp file,
+  // which WriteFileAtomic overwrites in place; before the first rotation
+  // there is none (ENOENT).
+  const std::string spare = opts_.dir + "/ckpt-spare.tmp";
+  std::rename(spare.c_str(), (path + ".tmp").c_str());
   std::string error;
   const CkptStatus status = WriteCheckpointFile(path, state, &error);
 
@@ -94,12 +100,16 @@ void CheckpointManager::Save(const EngineCheckpointState& state,
     opts_.metrics->gauge("ckpt.last_step").Max(state.step);
   }
 
-  // Rotate: drop the oldest generations beyond `keep`. The file just
-  // written is the newest, so it always survives.
+  // Rotate: retire the oldest generations beyond `keep`. The file just
+  // written is the newest, so it always survives. One retired file is
+  // renamed to the spare rather than deleted: freeing a file's blocks is
+  // what rotation costs on a filesystem mounted with online discard (about
+  // 40 ms an unlink on a virtual disk's ext4 `-o discard`, against under
+  // 1 ms for the write and both fsyncs), and the next save reuses them.
   std::vector<CheckpointFileInfo> files = ListCheckpoints(opts_.dir);
   const auto keep = static_cast<std::size_t>(opts_.keep);
-  if (files.size() > keep) {
-    for (std::size_t i = 0; i + keep < files.size(); ++i) {
+  for (std::size_t i = 0; i + keep < files.size(); ++i) {
+    if (i > 0 || std::rename(files[i].path.c_str(), spare.c_str()) != 0) {
       std::remove(files[i].path.c_str());
     }
   }

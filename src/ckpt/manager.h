@@ -8,7 +8,8 @@
 // Recovery story (exercised end-to-end by scripts/crash_drill.py): a
 // SIGKILL can land at any instant, including mid-write. The atomic rename
 // means the directory only ever contains complete former generations plus
-// at most one orphaned temp file; a bit-flip on disk is caught by the CRC;
+// at most one temp file (an orphaned write, or the retired generation the
+// next save overwrites); a bit-flip on disk is caught by the CRC;
 // and a checkpoint from a differently-configured run is refused by the
 // engine-options hash. In every case LoadNewestValid degrades to the
 // newest older generation rather than resuming silently wrong.
@@ -35,7 +36,9 @@ struct CheckpointOptions {
   /// Save when this much wall time passed since the last save (0 = no
   /// wall-clock cadence). Both cadences may be active; either triggers.
   double every_seconds = 0.0;
-  /// Generations to keep; older ones are deleted after a successful save.
+  /// Generations to keep; older ones are retired after a successful save
+  /// (the oldest renamed to a spare that the next save writes over, the
+  /// rest deleted).
   int keep = 3;
   /// Optional: counts saves/failures/bytes under "ckpt.*".
   MetricsRegistry* metrics = nullptr;

@@ -37,11 +37,15 @@ bool WriteFileAtomic(const std::string& path,
                      std::initializer_list<std::string_view> pieces,
                      std::string* error, DirSync dir_sync) {
   const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  // No O_TRUNC: an existing temp file is overwritten in place and cut to
+  // length afterwards, so its blocks are reused instead of freed (see
+  // CheckpointManager's rotation).
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT, 0644);
   if (fd < 0) {
     SetError(error, "open " + tmp);
     return false;
   }
+  std::size_t size = 0;
   for (const std::string_view piece : pieces) {
     if (!WriteAll(fd, piece.data(), piece.size())) {
       SetError(error, "write " + tmp);
@@ -49,6 +53,13 @@ bool WriteFileAtomic(const std::string& path,
       ::unlink(tmp.c_str());
       return false;
     }
+    size += piece.size();
+  }
+  if (::ftruncate(fd, static_cast<off_t>(size)) != 0) {
+    SetError(error, "truncate " + tmp);
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    return false;
   }
   // Flush to stable storage before the rename: otherwise a crash can leave
   // the new name pointing at not-yet-durable bytes, which is exactly the

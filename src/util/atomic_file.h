@@ -26,6 +26,8 @@ enum class DirSync { kNow, kDeferred };
 /// `error` may be null. The temporary file is removed on a failed write, so
 /// retries start clean. If only the directory fsync fails, the new file is
 /// in place but its name may not survive a crash, and the call returns false.
+/// A `path + ".tmp"` that already exists is overwritten in place and cut to
+/// length, which keeps its disk blocks.
 bool WriteFileAtomic(const std::string& path, const void* data,
                      std::size_t size, std::string* error,
                      DirSync dir_sync = DirSync::kNow);

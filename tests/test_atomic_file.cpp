@@ -46,6 +46,15 @@ TEST(AtomicFileTest, ReplacesExistingFile) {
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
 
+TEST(AtomicFileTest, OverwritesAnExistingTempAndCutsItToLength) {
+  const std::string path = FreshDir("atomic_stale_temp") + "/out.txt";
+  std::ofstream(path + ".tmp") << "a much longer stale temp body";
+  std::string error;
+  ASSERT_TRUE(WriteFileAtomic(path, "short", 5, &error)) << error;
+  EXPECT_EQ(ReadFile(path), "short");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
 TEST(AtomicFileTest, WritesPiecesInOrder) {
   const std::string path = FreshDir("atomic_pieces") + "/out.txt";
   std::string error;

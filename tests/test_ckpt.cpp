@@ -21,6 +21,8 @@
 #include <tuple>
 #include <vector>
 
+#include <sys/stat.h>
+
 #include "ckpt/checkpoint.h"
 #include "ckpt/manager.h"
 #include "core/config.h"
@@ -815,6 +817,39 @@ TEST(CheckpointManagerTest, RotationKeepsNewestK) {
   ASSERT_EQ(files.size(), 2u);
   EXPECT_EQ(files[0].step, 30);
   EXPECT_EQ(files[1].step, 40);
+}
+
+TEST(CheckpointManagerTest, RotationHandsTheRetiredFileToTheNextSave) {
+  CheckpointOptions copts;
+  copts.dir = FreshDir("recycle");
+  copts.keep = 2;
+  CheckpointManager mgr(copts);
+  EngineCheckpointState state = SampleState();
+  for (std::int64_t step : {10, 20, 30}) {
+    state.step = step;
+    mgr.Save(state, "cadence");
+  }
+  // Generation 10 was retired under the spare name, not deleted...
+  struct stat st {};
+  ASSERT_EQ(::stat((copts.dir + "/ckpt-spare.tmp").c_str(), &st), 0);
+  const ino_t retired = st.st_ino;
+
+  // ...and the next save writes over it, then retires generation 20.
+  state.step = 40;
+  mgr.Save(state, "cadence");
+  ASSERT_EQ(mgr.save_failures(), 0) << mgr.last_error();
+  const auto files = CheckpointManager::ListCheckpoints(copts.dir);
+  ASSERT_EQ(files.size(), 2u);
+  EXPECT_EQ(files[0].step, 30);
+  EXPECT_EQ(files[1].step, 40);
+  ASSERT_EQ(::stat(files[1].path.c_str(), &st), 0);
+  EXPECT_EQ(st.st_ino, retired);
+
+  EngineCheckpointState loaded;
+  ASSERT_EQ(CheckpointManager::LoadNewestValid(copts.dir, &loaded, nullptr,
+                                               nullptr, nullptr),
+            CkptStatus::kOk);
+  EXPECT_EQ(loaded.step, 40);
 }
 
 TEST(CheckpointManagerTest, LoadNewestValidFallsBackPastCorruption) {
