@@ -271,7 +271,7 @@ void WritePerfettoTrace(const OutputFlags& flags) {
   opts.seed = 99;
   opts.trace = &ctx;
   opts.engine.pool = &pool;
-  opts.engine.probe = &trace;
+  opts.engine.probes = {&trace};
   opts.engine.metrics = &metrics;
   RouteTwoPhase(topo, dest, opts);
 

@@ -65,7 +65,7 @@ void PrintReproductionTable(const OutputFlags& flags) {
     TwoPhaseOptions opts;
     opts.g = configs.front().g;
     opts.seed = 99;
-    opts.engine.probe = &trace;
+    opts.engine.probes = {&trace};
     RouteTwoPhase(topo, dest, opts);
     std::ofstream csv = OpenOutputFile(flags.trace_csv, "--trace-csv");
     trace.WriteCsv(csv);

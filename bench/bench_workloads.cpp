@@ -251,7 +251,7 @@ void WritePerfettoTrace(const OutputFlags& flags) {
   MetricsRegistry metrics;
   EngineOptions eopts;
   eopts.pool = &pool;
-  eopts.probe = &trace;
+  eopts.probes = {&trace};
   eopts.metrics = &metrics;
 
   DriverOptions dopts = Windows(flags.quick);

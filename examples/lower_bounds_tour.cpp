@@ -5,6 +5,7 @@
 //   $ ./lower_bounds_tour --d=16 --n=33 --gamma=0.5 --beta=0.7
 //   $ ./lower_bounds_tour --d=8 --scheme=morton --n=16
 #include <cstdio>
+#include <utility>
 
 #include "core/mdmesh.h"
 #include "util/cli.h"
@@ -14,16 +15,22 @@ int main(int argc, char** argv) {
   Cli cli("lower_bounds_tour", "Section 4 lower-bound calculators");
   cli.AddInt("d", 16, "dimension (counting works far beyond simulable sizes)");
   cli.AddInt("n", 33, "side length for exact counting");
-  cli.AddString("gamma", "0.5", "diamond shrink parameter in (0,1)");
-  cli.AddString("beta", "0.7", "joker-zone exponent in (0,1)");
+  cli.AddDouble("gamma", 0.5, "diamond shrink parameter in (0,1)");
+  cli.AddDouble("beta", 0.7, "joker-zone exponent in (0,1)");
   cli.AddString("scheme", "blocked-snake", "indexing scheme to check (needs small d,n)");
   cli.AddInt("b", 0, "block side for blocked schemes (0 = n/2)");
   if (!cli.Parse(argc, argv)) return 2;
 
   const int d = static_cast<int>(cli.GetInt("d"));
   const int n = static_cast<int>(cli.GetInt("n"));
-  const double gamma = std::stod(cli.GetString("gamma"));
-  const double beta = std::stod(cli.GetString("beta"));
+  const double gamma = cli.GetDouble("gamma");
+  const double beta = cli.GetDouble("beta");
+  for (const auto& [flag, value] : {std::pair{"gamma", gamma}, {"beta", beta}}) {
+    if (!(value > 0.0 && value < 1.0)) {
+      std::fprintf(stderr, "--%s must lie in (0,1), got %g\n", flag, value);
+      return 2;
+    }
+  }
 
   std::printf("-- Lemma 4.1 at d=%d, n=%d, gamma=%.2f --\n", d, n, gamma);
   std::printf("  V/n^d     exact %.3e  vs bound %.3e  %s\n",

@@ -163,13 +163,14 @@ int main(int argc, char** argv) {
     FlightRecorder::InstallSignalHandlers();
     opts.checkpoint = ckpt.get();
   }
+  struct InFlightSeries final : StepProbe {
+    void OnStep(const StepSnapshot& snap) override {
+      values.push_back(snap.in_flight);
+    }
+    std::vector<std::int64_t> values;
+  } in_flight_series;
   ProgressMeter meter(/*step_cap=*/0, /*interval_ms=*/500, out.progress);
-  std::vector<std::int64_t> in_flight_series;
-  opts.observer = [&](std::int64_t step, std::int64_t in_flight,
-                      std::int64_t arrivals) {
-    in_flight_series.push_back(in_flight);
-    meter.Step(step, in_flight, arrivals);
-  };
+  opts.probes = {&in_flight_series, &meter};
   Engine engine(topo, opts);
   RouteResult r;
   if (out.resume) {
@@ -221,7 +222,7 @@ int main(int argc, char** argv) {
     std::printf("run aborted:\n%s\n", r.stall_report->ToString().c_str());
   }
   std::printf("in-flight packets over time:\n  [%s]\n",
-              Sparkline(in_flight_series, 64).c_str());
+              Sparkline(in_flight_series.values, 64).c_str());
 
   if (out.WantsJson()) {
     BenchJson json("resilience_demo");

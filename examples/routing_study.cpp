@@ -65,10 +65,13 @@ int main(int argc, char** argv) {
   if (cli.GetInt("nu32") >= 0) {
     opts.nu = static_cast<double>(cli.GetInt("nu32")) * spec.n / 32.0;
   }
-  std::vector<std::int64_t> in_flight_series;
-  opts.engine.observer = [&](std::int64_t, std::int64_t in_flight, std::int64_t) {
-    in_flight_series.push_back(in_flight);
-  };
+  struct InFlightSeries final : StepProbe {
+    void OnStep(const StepSnapshot& snap) override {
+      values.push_back(snap.in_flight);
+    }
+    std::vector<std::int64_t> values;
+  } in_flight_series;
+  opts.engine.probes = {&in_flight_series};
   // One tracer serves every sequential Route call (phase 1, phase 2, and
   // the greedy baseline); each run finalizes its own log, so per-phase
   // critical-path decompositions come out independently.
@@ -77,7 +80,7 @@ int main(int argc, char** argv) {
   TraceContext trace_ctx;
   opts.trace = &trace_ctx;
   CongestionTrace congestion;
-  if (out.WantsTrace()) opts.engine.probe = &congestion;
+  if (out.WantsTrace()) opts.engine.probes.push_back(&congestion);
 
   RoutingRow row = RunRoutingExperiment(spec, cli.GetString("perm"), opts);
   const auto D = static_cast<double>(row.diameter);
@@ -128,7 +131,7 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("in-flight packets over time (both phases):\n  [%s]\n",
-              Sparkline(in_flight_series, 64).c_str());
+              Sparkline(in_flight_series.values, 64).c_str());
   if (cli.GetBool("trace")) {
     std::printf("\nphase spans:\n%s", trace_ctx.RenderTree(row.diameter).c_str());
   }

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   TraceContext trace_ctx;
   opts.trace = &trace_ctx;
   CongestionTrace congestion;
-  if (out.WantsTrace()) opts.engine.probe = &congestion;
+  if (out.WantsTrace()) opts.engine.probes = {&congestion};
 
   SortAlgo algo = ParseSortAlgo(cli.GetString("algo"));
   SortRow row =

@@ -167,7 +167,7 @@ std::string DemoCsv() {
   std::vector<ProcId> dest = TransposePermutation(topo);
   CongestionTrace trace;
   GreedyOptions opts;
-  opts.engine.probe = &trace;
+  opts.engine.probes = {&trace};
   RouteOnePermutation(topo, dest, opts);
   std::ostringstream os;
   trace.WriteCsv(os);

@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
   ThreadPoolActivity activity;
   EngineOptions eopts;
   if (out.WantsPerfetto()) {
-    eopts.probe = &trace;
+    eopts.probes.push_back(&trace);
     ThreadPool::Global().set_activity(&activity);
   }
   if (out.WantsPerfetto() || out.WantsPublisher()) eopts.metrics = &metrics;
@@ -249,29 +249,32 @@ int main(int argc, char** argv) {
   }
 
   // Live telemetry: the engine folds its totals into the registry only at
-  // the end of Route, so an observer keeps per-step gauges fresh for
-  // mid-run scrapes; the same hook drives the stderr heartbeat.
-  ProgressMeter meter(/*step_cap=*/0, /*interval_ms=*/500, out.progress);
-  if (out.progress || out.WantsPublisher()) {
-    MetricsRegistry* live = eopts.metrics;
-    ProgressMeter* heartbeat = &meter;
-    if (live != nullptr) {
-      // Register the live gauges up front so the very first scrape of the
-      // endpoint already sees them (at zero) rather than a missing family.
-      live->gauge("engine.live.step").Set(0);
-      live->gauge("engine.live.in_flight").Set(0);
-      live->counter("engine.live.arrivals");
+  // the end of Route, so a probe keeps per-step gauges fresh for mid-run
+  // scrapes; the stderr heartbeat is a probe too.
+  struct LiveGauges final : StepProbe {
+    // Registered up front, so the very first scrape of the endpoint already
+    // sees them (at zero) rather than a missing family.
+    explicit LiveGauges(MetricsRegistry& m)
+        : step(m.gauge("engine.live.step")),
+          in_flight(m.gauge("engine.live.in_flight")),
+          arrivals(m.counter("engine.live.arrivals")) {}
+    void OnStep(const StepSnapshot& snap) override {
+      step.Set(snap.step);
+      in_flight.Set(snap.in_flight);
+      arrivals.Add(snap.arrivals);
     }
-    eopts.observer = [live, heartbeat](std::int64_t step,
-                                       std::int64_t in_flight,
-                                       std::int64_t arrivals) {
-      if (live != nullptr) {
-        live->gauge("engine.live.step").Set(step);
-        live->gauge("engine.live.in_flight").Set(in_flight);
-        live->counter("engine.live.arrivals").Add(arrivals);
-      }
-      heartbeat->Step(step, in_flight, arrivals);
-    };
+    MetricsRegistry::Gauge& step;
+    MetricsRegistry::Gauge& in_flight;
+    MetricsRegistry::Counter& arrivals;
+  };
+  ProgressMeter meter(/*step_cap=*/0, /*interval_ms=*/500, out.progress);
+  std::unique_ptr<LiveGauges> live;
+  if (out.progress || out.WantsPublisher()) {
+    if (eopts.metrics != nullptr) {
+      live = std::make_unique<LiveGauges>(*eopts.metrics);
+      eopts.probes.push_back(live.get());
+    }
+    eopts.probes.push_back(&meter);
   }
 
   RunManifest pub_manifest = MakeRunManifest(topo, eopts);

@@ -57,7 +57,6 @@
 
 // Experiment service: JSON run requests, queued scheduler, HTTP control
 // plane with checkpointed graceful drain.
-#include "serve/http.h"
 #include "serve/json_value.h"
 #include "serve/run_spec.h"
 #include "serve/scheduler.h"

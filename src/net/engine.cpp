@@ -29,7 +29,7 @@ constexpr std::int64_t kDefaultStallWindow = 64;
 
 std::uint64_t HashEngineOptions(const EngineOptions& opts) {
   // FNV-1a over a canonical encoding of the options that influence routing
-  // behavior. Observability hooks (observer, probe, metrics, journeys), the
+  // behavior. Observability hooks (probes, recorder, metrics, journeys), the
   // thread pool, and the checkpoint sink are excluded: they never change
   // results (for the sink and the journey tracer that exclusion is
   // load-bearing — a resumed run must hash identically whether or not it
@@ -786,18 +786,21 @@ RouteResult Engine::RouteInternal(Network& net,
   }
 
   // Per-worker scratch arenas replace the old per-step atomics and vector
-  // allocations. Probe support (per-dimension move counters, histograms) is
-  // entirely behind this one null check — an unobserved run never touches
-  // dir_moves again.
-  StepProbe* const probe = opts_.probe;
-  // The flight recorder shares the probe's per-dimension move counters and
-  // stamps this engine's manifest so a mid-run dump is self-describing.
+  // allocations. The per-step snapshot, with the per-direction move
+  // counters and histogram it carries, is behind one flag (count_dirs), on
+  // exactly when a recorder or a probe reads it — an unobserved run never
+  // touches dir_moves again.
+  const std::vector<StepProbe*>& probes = opts_.probes;
+  // The flight recorder stamps this engine's manifest so a mid-run dump is
+  // self-describing.
   static_assert(FlightRecord::kMaxDims >= kMaxDim,
                 "FlightRecord must cover every topology dimension");
   FlightRecorder* const recorder = opts_.recorder;
   if (recorder != nullptr) recorder->set_manifest(*manifest_);
-  const bool count_dirs = probe != nullptr || recorder != nullptr;
-  const bool want_hist = probe != nullptr && probe->WantsQueueHistogram();
+  const bool count_dirs = recorder != nullptr || !probes.empty();
+  const bool want_hist =
+      std::any_of(probes.begin(), probes.end(),
+                  [](const StepProbe* p) { return p->WantsQueueHistogram(); });
   if (scratch_.size() != nshards) scratch_.resize(nshards);
   for (std::size_t i = 0; i < nshards; ++i) {
     WorkerScratch& s = scratch_[i];
@@ -811,7 +814,7 @@ RouteResult Engine::RouteInternal(Network& net,
     s.arena[1].clear();
   }
   std::vector<std::int64_t> dir_moves_snapshot(count_dirs ? links : 0);
-  // One queue histogram per Route, refilled each step, and only when the
+  // One queue histogram per Route, refilled each step, and only when a
   // probe asks for it: the step loop itself never allocates.
   Histogram queue_hist(want_hist ? kQueueHistBuckets : 0);
 
@@ -896,9 +899,13 @@ RouteResult Engine::RouteInternal(Network& net,
     return {step_arrivals, step_moves};
   };
 
-  // Observer, probe, flight recorder, interrupt poll, and watchdog for one
-  // completed step; returns true when the run must abort (watchdog stall or
-  // a pending SIGINT/SIGTERM — `interrupted` tells them apart).
+  // The step snapshot (recorder, then probes), interrupt poll, and watchdog
+  // for one completed step; returns true when the run must abort (watchdog
+  // stall or a pending SIGINT/SIGTERM — `interrupted` tells them apart).
+  // Interrupt polling rides on the recorder/checkpoint opt-ins: a bare
+  // hot-path run never pays the atomic load per step.
+  const bool poll_interrupt =
+      recorder != nullptr || opts_.checkpoint != nullptr;
   bool interrupted = false;
   const auto emit_step = [&](std::int64_t st, std::int64_t step_arrivals,
                              std::int64_t step_moves, bool fault_event,
@@ -906,52 +913,24 @@ RouteResult Engine::RouteInternal(Network& net,
                              std::int64_t step_injected) {
     result.peak_active_procs =
         std::max(result.peak_active_procs, active_procs);
-    if (opts_.observer) {
-      opts_.observer(st, in_flight - arrivals_total, step_arrivals);
-    }
-    if (count_dirs) {
-      for (std::size_t i = 0; i < links; ++i) {
-        std::int64_t v = 0;
-        for (const WorkerScratch& s : scratch_) v += s.dir_moves[i];
-        dir_moves_snapshot[i] = v;
-      }
-    }
-    if (recorder != nullptr) {
-      FlightRecord rec;
-      rec.step = st;
-      rec.in_flight = in_flight - arrivals_total;
-      rec.arrivals = step_arrivals;
-      rec.moves = step_moves;
-      rec.injected = step_injected;
-      rec.active_procs = active_procs;
-      std::int64_t step_qmax = 0;
-      for (const WorkerScratch& s : scratch_) {
-        step_qmax = std::max(step_qmax, s.qmax);
-      }
-      rec.queue_max = step_qmax;
-      rec.dims = d_;
-      for (std::size_t i = 0; i < links; ++i) {
-        rec.dir_moves[i] = dir_moves_snapshot[i];
-      }
-      recorder->Append(rec);
-    }
-    // Interrupt polling rides on the observability/checkpoint opt-ins: a
-    // bare hot-path run never pays the atomic load per step.
-    if ((recorder != nullptr || opts_.checkpoint != nullptr) &&
-        FlightRecorder::InterruptRequested()) {
-      interrupted = true;
-      return true;
-    }
-    if (probe != nullptr) {
+    if (count_dirs) {  // a recorder or a probe reads the snapshot
       StepSnapshot snap;
       snap.step = st;
       snap.in_flight = in_flight - arrivals_total;
       snap.arrivals = step_arrivals;
       snap.moves = step_moves;
       snap.dims = d_;
+      for (std::size_t i = 0; i < links; ++i) {
+        std::int64_t v = 0;
+        for (const WorkerScratch& s : scratch_) v += s.dir_moves[i];
+        dir_moves_snapshot[i] = v;
+      }
       snap.dim_dir_moves = dir_moves_snapshot.data();
       snap.active_procs = active_procs;
       snap.injected = step_injected;
+      for (const WorkerScratch& s : scratch_) {
+        snap.queue_max = std::max(snap.queue_max, s.qmax);
+      }
       if (want_hist) {
         queue_hist.Clear();
         for (ProcId p = 0; p < N; ++p) {
@@ -961,7 +940,12 @@ RouteResult Engine::RouteInternal(Network& net,
         }
         snap.queue_hist = &queue_hist;
       }
-      probe->OnStep(snap);
+      if (recorder != nullptr) recorder->Append(snap);
+      for (StepProbe* probe : probes) probe->OnStep(snap);
+    }
+    if (poll_interrupt && FlightRecorder::InterruptRequested()) {
+      interrupted = true;
+      return true;
     }
     if (watchdog_on) {
       if (step_moves == 0 && !fault_event) {
@@ -1191,7 +1175,6 @@ RouteResult Engine::RouteInternal(Network& net,
   // A clean pass only commits: under the checker, at checkpoint cadence,
   // and when the run is known to end at S (step cap, kStop, a pending
   // interrupt). The next step then bootstraps with a bid of its own.
-  const bool poll_interrupt = recorder != nullptr || sink != nullptr;
   const auto continuing = [&] {
     return (injector != nullptr && injecting) || in_flight > arrivals_total;
   };

@@ -89,7 +89,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -193,18 +192,16 @@ struct EngineOptions {
   /// Thread pool; nullptr uses ThreadPool::Global().
   ThreadPool* pool = nullptr;
 
-  /// Optional per-step callback, called after every step with
-  /// (step, packets still in flight, arrivals during this step). Adds no
-  /// cost when unset. For richer per-step data (per-dimension link moves,
-  /// queue histograms) attach a StepProbe instead.
-  std::function<void(std::int64_t, std::int64_t, std::int64_t)> observer;
-
-  /// Optional rich per-step probe (obs/probe.h). When attached, the engine
-  /// additionally collects per-dimension directed-link move counts and — if
-  /// the probe asks for it — a queue-occupancy histogram each step. Costs
-  /// nothing when null: every probe-conditional piece of the step loop is
-  /// behind a single null check hoisted out of the loop.
-  StepProbe* probe = nullptr;
+  /// Per-step probes (obs/probe.h; each must outlive the engine). After
+  /// every step the engine builds one StepSnapshot, appends it to the
+  /// recorder (if any), then hands it to each probe in list order — all
+  /// before the interrupt check, so probes and recorder see the same steps,
+  /// the one an interrupt ends on included. While a probe or a recorder is
+  /// attached the engine counts moves per directed dimension link, and it
+  /// fills a queue-occupancy histogram when a probe asks for one. An empty
+  /// list costs nothing: every snapshot-conditional piece of the step loop
+  /// is behind one flag hoisted out of the loop.
+  std::vector<StepProbe*> probes;
 
   /// Optional fault plan (must be built on the same topology; outlives the
   /// engine). Null or empty leaves the fault-free hot path byte-identical.
@@ -245,13 +242,15 @@ struct EngineOptions {
   MetricsRegistry* metrics = nullptr;
 
   /// Optional black-box flight recorder (obs/flight_recorder.h). When set,
-  /// the coordinator appends one fixed-size FlightRecord per step into the
-  /// recorder's preallocated ring (no allocations, no locks), stamps the
-  /// engine manifest, and — when the recorder has a dump path — dumps the
-  /// ring as a JSON artifact on watchdog abort, step-cap abort, invariant
-  /// failure, or a pending SIGINT/SIGTERM (polled once per step only while
-  /// a recorder is attached; aborts with StallReason::kInterrupt). The
-  /// StallReport embeds the ring's tail either way. Null costs nothing.
+  /// the coordinator appends each step's StepSnapshot, packed to a
+  /// fixed-size record, into the recorder's preallocated ring (no
+  /// allocations, no locks) ahead of the probes, stamps the engine
+  /// manifest, and — when the recorder has a dump path — dumps the ring as
+  /// a JSON artifact on watchdog abort, step-cap abort, invariant failure,
+  /// or a pending SIGINT/SIGTERM (polled once per step only while a
+  /// recorder or a checkpoint sink is attached; aborts with
+  /// StallReason::kInterrupt). The StallReport embeds the ring's tail
+  /// either way. Null costs nothing.
   FlightRecorder* recorder = nullptr;
 
   /// Optional checkpoint sink (contract in net/engine_state.h). When set,
@@ -334,7 +333,8 @@ class Engine {
     std::int64_t moves = 0;
     std::int64_t detours = 0;
     std::int64_t qmax = 0;
-    std::vector<std::int64_t> dir_moves;  // 2d entries; empty without probe
+    std::vector<std::int64_t> dir_moves;  // 2d entries; empty without
+                                          // probes or a recorder
     std::vector<ProcId> receivers;        // sparse bid output (reused)
     /// This worker's lane of the routed Network's block pool: the blocks
     /// its commits take and give.

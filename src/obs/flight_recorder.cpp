@@ -1,5 +1,6 @@
 #include "obs/flight_recorder.h"
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <sstream>
@@ -28,7 +29,19 @@ void FlightRecord::WriteJson(JsonWriter& w) const {
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : ring_(capacity > 0 ? capacity : 1) {}
 
-void FlightRecorder::Append(const FlightRecord& rec) {
+void FlightRecorder::Append(const StepSnapshot& snapshot) {
+  FlightRecord rec;
+  rec.step = snapshot.step;
+  rec.in_flight = snapshot.in_flight;
+  rec.arrivals = snapshot.arrivals;
+  rec.moves = snapshot.moves;
+  rec.injected = snapshot.injected;
+  rec.active_procs = snapshot.active_procs;
+  rec.queue_max = snapshot.queue_max;
+  if (snapshot.dim_dir_moves != nullptr) {
+    rec.dims = std::min(snapshot.dims, FlightRecord::kMaxDims);
+    std::copy_n(snapshot.dim_dir_moves, 2 * rec.dims, rec.dir_moves);
+  }
   ring_[head_] = rec;
   head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
   ++total_;

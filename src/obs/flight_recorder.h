@@ -3,13 +3,19 @@
 // cap, invariant failure, or a SIGINT/SIGTERM landing mid-campaign — leaves
 // behind the step history that explains it instead of only its final state.
 //
-// The engine (net/engine.h, EngineOptions::recorder) appends one fixed-size
-// FlightRecord per step from the coordinator thread. The ring is allocated
-// once up front and Append never allocates or locks, so the recorder is safe
-// to leave attached to billion-step runs; when the buffer wraps, the oldest
-// records fall off and `dropped()` counts them. Routing behavior is
-// untouched: the determinism tests pin that delivery traces are
-// byte-identical with and without a recorder attached.
+// The engine (net/engine.h, EngineOptions::recorder) appends each step's
+// StepSnapshot (obs/probe.h) — the same record every StepProbe reads — from
+// the coordinator thread, before any probe sees it. Append packs it into a
+// fixed-size FlightRecord; the ring is allocated once up front and Append
+// never allocates or locks, so the recorder is safe to leave attached to
+// billion-step runs. When the buffer wraps, the oldest records fall off and
+// `dropped()` counts them. Routing behavior is untouched: the determinism
+// tests pin that delivery traces are byte-identical with and without a
+// recorder attached.
+//
+// The recorder is more than a sink: the engine stamps its manifest at the
+// start of every Route, embeds its tail in the StallReport, and dumps it
+// on every abort.
 //
 // Dumping: Dump()/WriteJson() serialize a self-describing artifact —
 // {"manifest": ..., "reason": ..., "step": ..., "records": [...]} — with
@@ -22,9 +28,11 @@
 //
 // Signals: InstallSignalHandlers() registers SIGINT/SIGTERM handlers that
 // only set a process-wide flag (the only async-signal-safe thing to do).
-// The engine polls InterruptRequested() once per step while a recorder is
-// attached and aborts the Route with StallReason::kInterrupt, which
-// triggers the dump on the normal (signal-free) code path.
+// The engine polls InterruptRequested() once per step while a recorder or a
+// checkpoint sink is attached, after the step's snapshot reached the
+// recorder and every probe, and aborts the Route with
+// StallReason::kInterrupt, which triggers the dump on the normal
+// (signal-free) code path.
 #pragma once
 
 #include <atomic>
@@ -34,13 +42,14 @@
 
 #include "obs/json.h"
 #include "obs/manifest.h"
+#include "obs/probe.h"
 
 namespace mdmesh {
 
-/// One engine step, as recorded after delivery. Fixed size — the ring is a
-/// flat array of these. `dir_moves` is only populated (dims > 0) when the
-/// engine is counting per-direction moves; the recorder asks for them, so
-/// recorder-attached runs always fill it.
+/// One engine step as the ring stores it: a StepSnapshot packed to a fixed
+/// size (the queue histogram is not kept). The engine counts per-direction
+/// moves whenever a recorder is attached, so `dir_moves` holds 2 * dims
+/// entries for every engine step.
 struct FlightRecord {
   /// Per-dimension move counters cover up to this many dimensions (matches
   /// the topology layer's kMaxDim; static_asserted at the engine).
@@ -65,9 +74,9 @@ class FlightRecorder {
   /// allocated here, once.
   explicit FlightRecorder(std::size_t capacity = 4096);
 
-  /// Appends one record, overwriting the oldest when full. Coordinator
-  /// thread only; never allocates.
-  void Append(const FlightRecord& rec);
+  /// Packs one step into the ring, overwriting the oldest record when full.
+  /// Coordinator thread only; never allocates.
+  void Append(const StepSnapshot& snapshot);
 
   /// Records currently retained (<= capacity).
   std::size_t size() const;

@@ -1,6 +1,20 @@
 #include "obs/probe.h"
 
+#include <chrono>
+#include <cstdio>
+
+#include <unistd.h>
+
 namespace mdmesh {
+namespace {
+
+std::int64_t SteadyMs() {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+}  // namespace
 
 CongestionTrace::CongestionTrace(std::size_t capacity)
     : capacity_(capacity < 2 ? 2 : capacity) {
@@ -73,6 +87,70 @@ void CongestionTrace::Clear() {
   next_sample_ = 1;
   tick_ = 0;
   dims_ = 0;
+}
+
+bool ProgressMeter::StderrIsTty() { return ::isatty(2) != 0; }
+
+ProgressMeter::ProgressMeter(std::int64_t step_cap, std::int64_t interval_ms,
+                             bool force)
+    : step_cap_(step_cap),
+      interval_ms_(interval_ms > 0 ? interval_ms : 500),
+      enabled_(force || StderrIsTty()),
+      start_ms_(SteadyMs()) {
+  last_emit_ms_ = start_ms_;
+}
+
+void ProgressMeter::Emit(std::int64_t step, std::int64_t in_flight,
+                         double steps_per_sec) {
+  char line[256];
+  if (step_cap_ > 0 && steps_per_sec > 0.0) {
+    const double eta_s = static_cast<double>(step_cap_ - step) /
+                         steps_per_sec;
+    std::snprintf(line, sizeof(line),
+                  "[progress] step %lld/%lld  in-flight %lld  %.0f steps/s  "
+                  "eta %.1fs",
+                  static_cast<long long>(step),
+                  static_cast<long long>(step_cap_),
+                  static_cast<long long>(in_flight), steps_per_sec,
+                  eta_s > 0 ? eta_s : 0.0);
+  } else {
+    std::snprintf(line, sizeof(line),
+                  "[progress] step %lld  in-flight %lld  %.0f steps/s",
+                  static_cast<long long>(step),
+                  static_cast<long long>(in_flight), steps_per_sec);
+  }
+  last_line_ = line;
+  ++lines_;
+  if (enabled_) std::fprintf(stderr, "%s\n", line);
+}
+
+void ProgressMeter::OnStep(const StepSnapshot& snapshot) {
+  delivered_total_ += snapshot.arrivals;
+  if (finished_) return;
+  const std::int64_t now = SteadyMs();
+  if (now - last_emit_ms_ < interval_ms_) return;
+  const double dt_s =
+      static_cast<double>(now - last_emit_ms_) / 1000.0;
+  const double rate =
+      dt_s > 0 ? static_cast<double>(snapshot.step - last_emit_step_) / dt_s
+               : 0.0;
+  Emit(snapshot.step, snapshot.in_flight, rate);
+  last_emit_ms_ = now;
+  last_emit_step_ = snapshot.step;
+}
+
+void ProgressMeter::Finish() {
+  if (finished_) return;
+  finished_ = true;
+  const double total_s =
+      static_cast<double>(SteadyMs() - start_ms_) / 1000.0;
+  char line[256];
+  std::snprintf(line, sizeof(line),
+                "[progress] done: %lld delivered in %.2fs",
+                static_cast<long long>(delivered_total_), total_s);
+  last_line_ = line;
+  ++lines_;
+  if (enabled_) std::fprintf(stderr, "%s\n", line);
 }
 
 }  // namespace mdmesh

@@ -1,16 +1,23 @@
-// Per-step engine instrumentation: the StepProbe interface the engine calls
-// after every synchronous step, and CongestionTrace, the standard probe that
-// keeps a bounded time series of congestion measurements.
+// Per-step engine instrumentation: StepSnapshot, the one per-step record
+// the engine builds after every synchronous step; the StepProbe interface
+// that receives it; and the two standard probes — CongestionTrace, a
+// bounded time series of congestion measurements, and ProgressMeter, a
+// rate-limited stderr heartbeat.
 //
-// The probe sees what the booksim-style simulators export per cycle: packets
-// in flight, arrivals, packet-moves split per directed dimension link, and a
-// queue-occupancy histogram. A null probe costs the engine nothing; the
-// per-dimension counters and the histogram are only collected when a probe
-// is attached (and, for the histogram, only when the probe asks for it).
+// EngineOptions::probes is a list: one run can attach a congestion trace, a
+// heartbeat and live gauges together, and each sees every step, in list
+// order, after the flight recorder (obs/flight_recorder.h) has packed the
+// same snapshot into its ring. The snapshot carries what the booksim-style
+// simulators export per cycle: packets in flight, arrivals, packet-moves
+// split per directed dimension link, the step's peak queue, and a
+// queue-occupancy histogram. An empty list costs the engine nothing; the
+// per-dimension counters are only collected while a probe or a recorder is
+// attached, and the histogram only when a probe asks for it.
 #pragma once
 
 #include <cstdint>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "util/stats.h"
@@ -37,6 +44,8 @@ struct StepSnapshot {
   std::int64_t active_procs = -1;
   /// Packets injected this step by a StepInjector (0 on one-shot runs).
   std::int64_t injected = 0;
+  /// Peak queue length among the processors this step committed.
+  std::int64_t queue_max = 0;
 };
 
 class StepProbe {
@@ -94,6 +103,48 @@ class CongestionTrace final : public StepProbe {
   std::int64_t tick_ = 0;
   int dims_ = 0;
   std::vector<Sample> samples_;
+};
+
+/// Rate-limited stderr heartbeat for long runs: attach it to
+/// EngineOptions::probes with the run's step cap (0 = unknown). Emits at
+/// most one line per `interval_ms` of wall time, plus a final
+/// newline-terminated line on Finish().
+///
+/// `enabled` defaults to "stderr is a TTY" so redirected output and CI logs
+/// are not flooded; pass force=true to emit regardless (tests, --progress).
+class ProgressMeter final : public StepProbe {
+ public:
+  explicit ProgressMeter(std::int64_t step_cap = 0,
+                         std::int64_t interval_ms = 500, bool force = false);
+
+  /// True when heartbeat lines will actually be written.
+  bool enabled() const { return enabled_; }
+
+  void OnStep(const StepSnapshot& snapshot) override;
+
+  /// Emits a final summary line (if enabled) and stops further output.
+  void Finish();
+
+  /// Exposed for tests: the last line that would have been printed.
+  const std::string& last_line() const { return last_line_; }
+  std::int64_t lines_emitted() const { return lines_; }
+
+  /// True when stderr is an interactive terminal (POSIX isatty).
+  static bool StderrIsTty();
+
+ private:
+  void Emit(std::int64_t step, std::int64_t in_flight, double steps_per_sec);
+
+  std::int64_t step_cap_;
+  std::int64_t interval_ms_;
+  bool enabled_;
+  bool finished_ = false;
+  std::int64_t lines_ = 0;
+  std::int64_t last_emit_ms_ = 0;   ///< steady-clock ms of last heartbeat
+  std::int64_t last_emit_step_ = 0;
+  std::int64_t start_ms_ = 0;
+  std::int64_t delivered_total_ = 0;
+  std::string last_line_;
 };
 
 }  // namespace mdmesh

@@ -1,36 +1,34 @@
-// Live telemetry publisher: a background thread that snapshots a
-// MetricsRegistry on a fixed cadence and exposes it two ways —
+// Live telemetry publisher: exposes a MetricsRegistry two ways while a run
+// executes —
 //
-//   * an embedded POSIX HTTP listener serving Prometheus text exposition at
-//     GET /metrics (and the registry's JSON at GET /status), enabled with
-//     --metrics-port=N (0 asks the OS for an ephemeral port; port() reports
-//     the bound one, which is how parallel tests avoid collisions), and
-//   * an atomically-renamed status JSON file (--status-file=F) for
-//     environments where opening a port is unwelcome — watchers can
-//     `watch cat` it and never observe a torn write.
+//   * over HTTP, enabled with --metrics-port=N: Prometheus text exposition
+//     at GET /metrics and the registry's JSON at GET /status, served by the
+//     shared loopback HttpServer (util/http.h), which frames requests,
+//     bounds their size and read time, and hardens accept(). Paths match
+//     exactly (a query string is ignored); anything else gets 404. Port 0
+//     asks the OS for an ephemeral port; port() reports the bound one,
+//     which is how parallel tests avoid collisions;
+//   * as an atomically-renamed status JSON file (--status-file=F), written
+//     by the publisher's own thread on a fixed cadence, for environments
+//     where opening a port is unwelcome — watchers can `watch cat` it and
+//     never observe a torn write.
 //
 // The publisher only ever *reads* the registry (sharded atomics — no
 // coordination with the engine), so attaching it cannot perturb routing;
 // the determinism test pins that delivery traces are byte-identical with
-// the publisher attached. The HTTP server is deliberately tiny: blocking
-// accept with a poll() timeout so Stop() is prompt, one request per
-// connection (Connection: close), GET only, and a request head framed up to
-// its blank line under one read deadline.
-//
-// ProgressMeter is the human-facing sibling: a rate-limited stderr
-// heartbeat (step, in-flight, steps/sec, ETA against the step cap) shaped
-// to slot into EngineOptions::observer. It auto-disables when stderr is not
-// a TTY so piped/CI runs stay clean unless forced.
+// the publisher attached.
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
-#include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
 
 #include "obs/manifest.h"
 #include "obs/registry.h"
+#include "util/http.h"
 
 namespace mdmesh {
 
@@ -51,107 +49,52 @@ class MetricsPublisher {
     const RunManifest* manifest = nullptr;
   };
 
-  /// Deadline for one request head to arrive. A silent or stalled client
-  /// holds the publisher thread (and Stop()) for at most this long.
-  static constexpr int kRequestTimeoutMs = 1000;
-
   MetricsPublisher() = default;
   ~MetricsPublisher() { Stop(); }
 
   MetricsPublisher(const MetricsPublisher&) = delete;
   MetricsPublisher& operator=(const MetricsPublisher&) = delete;
 
-  /// Binds the listener (when requested) and starts the background thread.
-  /// Returns false — with a stderr diagnostic, and with no thread running —
-  /// if the registry is missing or the port cannot be bound.
+  /// Starts the HTTP server and the status-file thread, each only when
+  /// requested. Returns false — with a stderr diagnostic, and with nothing
+  /// running — if the registry is missing or the port cannot be bound.
   bool Start(const Options& opts);
 
-  /// Stops the thread and closes the listener. Writes one final status-file
-  /// snapshot so the file reflects end-of-run state. Idempotent.
+  /// Stops the status-file thread and the server. Writes one final
+  /// status-file snapshot so the file reflects end-of-run state. Idempotent.
   void Stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
 
   /// Bound HTTP port (resolves 0 to the OS-assigned port); -1 when HTTP is
   /// disabled or Start has not succeeded.
-  int port() const { return port_; }
+  int port() const { return http_.port(); }
 
-  /// Snapshots served / status files written so far (tests poll these to
+  /// Requests answered / status files written so far (tests poll these to
   /// avoid sleeping on the cadence).
-  std::int64_t requests_served() const {
-    return requests_.load(std::memory_order_relaxed);
-  }
+  std::int64_t requests_served() const { return http_.requests_served(); }
   std::int64_t snapshots_written() const {
     return snapshots_.load(std::memory_order_relaxed);
   }
 
   /// accept() attempts that hit fd exhaustion (EMFILE/ENFILE) and backed
   /// off instead of dropping the listener.
-  std::int64_t accept_backoffs() const {
-    return accept_backoffs_.load(std::memory_order_relaxed);
-  }
+  std::int64_t accept_backoffs() const { return http_.accept_backoffs(); }
 
  private:
   void Run();
   void WriteStatusFile();
-  void ServeOne(int client_fd);
+  HttpResponse Handle(const HttpRequest& req) const;
   std::string StatusJson() const;
 
   Options opts_;
+  HttpServer http_;
   std::thread thread_;
+  std::mutex mu_;
+  std::condition_variable wake_;
+  bool stop_ = false;  ///< guarded by mu_
   std::atomic<bool> running_{false};
-  std::atomic<bool> stop_{false};
-  std::atomic<std::int64_t> requests_{0};
   std::atomic<std::int64_t> snapshots_{0};
-  std::atomic<std::int64_t> accept_backoffs_{0};
-  int listen_fd_ = -1;
-  int port_ = -1;
-};
-
-/// Rate-limited stderr heartbeat for long runs. Construct with the run's
-/// step cap (0 = unknown), then install Observer() as (or inside)
-/// EngineOptions::observer. Emits at most one line per `interval_ms` of
-/// wall time, plus a final newline-terminated line on Finish().
-///
-/// `enabled` defaults to "stderr is a TTY" so redirected output and CI logs
-/// are not flooded; pass force=true to emit regardless (tests, --progress).
-class ProgressMeter {
- public:
-  explicit ProgressMeter(std::int64_t step_cap = 0,
-                         std::int64_t interval_ms = 500, bool force = false);
-
-  /// True when heartbeat lines will actually be written.
-  bool enabled() const { return enabled_; }
-
-  /// Call once per step: (step, packets in flight, arrivals this step).
-  void Step(std::int64_t step, std::int64_t in_flight, std::int64_t arrivals);
-
-  /// Adapter matching EngineOptions::observer.
-  std::function<void(std::int64_t, std::int64_t, std::int64_t)> Observer();
-
-  /// Emits a final summary line (if enabled) and stops further output.
-  void Finish();
-
-  /// Exposed for tests: the last line that would have been printed.
-  const std::string& last_line() const { return last_line_; }
-  std::int64_t lines_emitted() const { return lines_; }
-
-  /// True when stderr is an interactive terminal (POSIX isatty).
-  static bool StderrIsTty();
-
- private:
-  void Emit(std::int64_t step, std::int64_t in_flight, double steps_per_sec);
-
-  std::int64_t step_cap_;
-  std::int64_t interval_ms_;
-  bool enabled_;
-  bool finished_ = false;
-  std::int64_t lines_ = 0;
-  std::int64_t last_emit_ms_ = 0;   ///< steady-clock ms of last heartbeat
-  std::int64_t last_emit_step_ = 0;
-  std::int64_t start_ms_ = 0;
-  std::int64_t delivered_total_ = 0;
-  std::string last_line_;
 };
 
 }  // namespace mdmesh

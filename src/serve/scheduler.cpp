@@ -452,7 +452,7 @@ void RunScheduler::Execute(std::int64_t id, const RunSpec& spec,
   EngineOptions eopts = spec.MakeEngineOptions();
   eopts.pool = pool;
   eopts.metrics = &run_metrics;
-  eopts.probe = &trace;
+  eopts.probes = {&trace};
   // Journey tracing on every run: the sampler is seeded by the spec
   // fingerprint, so re-submissions (and resumed executions) of the same
   // spec trace the same packet ids.

@@ -17,8 +17,8 @@
 #include <string>
 
 #include "obs/registry.h"
-#include "serve/http.h"
 #include "serve/scheduler.h"
+#include "util/http.h"
 
 namespace mdmesh {
 

@@ -1,6 +1,7 @@
 #include "util/cli.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -14,6 +15,14 @@ bool ParseInt(const std::string& text, std::int64_t* out) {
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
   return ec == std::errc() && ptr == end;
+}
+
+/// The whole of `text` as a finite double, in std::from_chars' general
+/// format (no leading '+' or blanks).
+bool ParseDouble(const std::string& text, double* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end && std::isfinite(*out);
 }
 
 bool IsBoolText(const std::string& v) {
@@ -35,6 +44,16 @@ std::string Cli::Normalize(const std::string& name) {
 void Cli::AddInt(const std::string& name, std::int64_t def, const std::string& help) {
   const std::string key = Normalize(name);
   flags_[key] = Flag{Kind::kInt, std::to_string(def), std::to_string(def), help};
+  order_.push_back(key);
+}
+
+void Cli::AddDouble(const std::string& name, double def, const std::string& help) {
+  const std::string key = Normalize(name);
+  // Shortest text that reads back as `def`: 0.5 prints as "0.5".
+  char text[32];
+  const auto res = std::to_chars(text, text + sizeof(text), def);
+  const std::string value(text, res.ptr);
+  flags_[key] = Flag{Kind::kDouble, value, value, help};
   order_.push_back(key);
 }
 
@@ -88,14 +107,19 @@ bool Cli::Parse(int argc, const char* const* argv) {
       }
     }
     const Kind kind = it->second.kind;
-    std::int64_t parsed = 0;
-    if ((kind == Kind::kInt && !ParseInt(value, &parsed)) ||
-        (kind == Kind::kBool && !IsBoolText(value))) {
+    std::int64_t as_int = 0;
+    double as_double = 0.0;
+    const char* expected =
+        kind == Kind::kInt && !ParseInt(value, &as_int)
+            ? "a base-10 64-bit integer"
+        : kind == Kind::kDouble && !ParseDouble(value, &as_double)
+            ? "a finite real number"
+        : kind == Kind::kBool && !IsBoolText(value)
+            ? "1, 0, true, false, yes or no"
+            : nullptr;
+    if (expected != nullptr) {
       std::fprintf(stderr, "flag '--%s' expects %s, got '%s'\n%s",
-                   name.c_str(),
-                   kind == Kind::kInt ? "a base-10 64-bit integer"
-                                      : "1, 0, true, false, yes or no",
-                   value.c_str(), Usage().c_str());
+                   name.c_str(), expected, value.c_str(), Usage().c_str());
       return false;
     }
     it->second.value = value;
@@ -114,6 +138,12 @@ const Cli::Flag& Cli::Find(const std::string& name, Kind kind) const {
 std::int64_t Cli::GetInt(const std::string& name) const {
   std::int64_t v = 0;
   ParseInt(Find(name, Kind::kInt).value, &v);
+  return v;
+}
+
+double Cli::GetDouble(const std::string& name) const {
+  double v = 0.0;
+  ParseDouble(Find(name, Kind::kDouble).value, &v);
   return v;
 }
 

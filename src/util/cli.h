@@ -2,8 +2,9 @@
 //
 // Supports `--name=value`, `--name value`, and boolean `--name`. Unknown
 // flags are an error so typos surface immediately, and so are malformed
-// values: an int flag's whole value must be a base-10 int64, and a bool
-// flag takes only 1/0/true/false/yes/no. Flag names may be given
+// values: an int flag's whole value must be a base-10 int64, a real-valued
+// flag's whole value a finite double, and a bool flag takes only
+// 1/0/true/false/yes/no. Flag names may be given
 // with or without the leading dashes ("json" and "--json" register and look
 // up the same flag), so call sites can spell the flag the way the user
 // types it.
@@ -23,6 +24,7 @@ class Cli {
   /// Registers a flag with a default value and help text. Must be called
   /// before Parse.
   void AddInt(const std::string& name, std::int64_t def, const std::string& help);
+  void AddDouble(const std::string& name, double def, const std::string& help);
   void AddString(const std::string& name, const std::string& def, const std::string& help);
   void AddBool(const std::string& name, bool def, const std::string& help);
 
@@ -30,13 +32,14 @@ class Cli {
   bool Parse(int argc, const char* const* argv);
 
   std::int64_t GetInt(const std::string& name) const;
+  double GetDouble(const std::string& name) const;
   std::string GetString(const std::string& name) const;
   bool GetBool(const std::string& name) const;
 
   std::string Usage() const;
 
  private:
-  enum class Kind { kInt, kString, kBool };
+  enum class Kind { kInt, kDouble, kString, kBool };
   /// Strips any leading dashes: "--json" -> "json".
   static std::string Normalize(const std::string& name);
   struct Flag {

@@ -1,4 +1,4 @@
-#include "serve/http.h"
+#include "util/http.h"
 
 #include <cerrno>
 #include <chrono>
@@ -8,8 +8,6 @@
 #include <sstream>
 #include <thread>
 
-#include "util/net.h"
-
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
@@ -18,6 +16,85 @@
 
 namespace mdmesh {
 namespace {
+
+/// Listen backlog: bursts of concurrently submitting clients must queue,
+/// not be refused.
+constexpr int kListenBacklog = 64;
+
+/// Creates a TCP listener bound to 127.0.0.1:`port` (0 picks an ephemeral
+/// port). Returns the fd, with the actually-bound port in *bound_port, or
+/// -1 with *error describing the failure.
+int ListenLoopback(int port, int* bound_port, std::string* error) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    *error = std::string("socket: ") + std::strerror(errno);
+    return -1;
+  }
+  int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::listen(fd, kListenBacklog) != 0) {
+    *error = "cannot bind 127.0.0.1:" + std::to_string(port) + ": " +
+             std::strerror(errno);
+    ::close(fd);
+    return -1;
+  }
+  sockaddr_in bound{};
+  socklen_t len = sizeof(bound);
+  *bound_port =
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0
+          ? ntohs(bound.sin_port)
+          : port;
+  return fd;
+}
+
+/// One poll+recv round with a deadline. Returns the byte count (> 0), 0 on
+/// orderly peer close, -1 on timeout, -2 on socket error. EINTR retries
+/// without restarting the timeout.
+int RecvSome(int fd, char* buf, std::size_t cap, int timeout_ms) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+    if (left <= 0) return -1;
+    pollfd pfd{};
+    pfd.fd = fd;
+    pfd.events = POLLIN;
+    const int r = ::poll(&pfd, 1, static_cast<int>(left));
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      return -2;
+    }
+    if (r == 0) return -1;
+    const ssize_t n = ::recv(fd, buf, cap, 0);
+    if (n > 0) return static_cast<int>(n);
+    if (n == 0) return 0;
+    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
+    return -2;
+  }
+}
+
+/// Writes the whole buffer; false on error or a short write.
+bool SendAll(int fd, const std::string& data) {
+  std::size_t sent = 0;
+  while (sent < data.size()) {
+    const ssize_t k =
+        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+    if (k < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    if (k == 0) return false;
+    sent += static_cast<std::size_t>(k);
+  }
+  return true;
+}
 
 std::string FormatResponse(const HttpResponse& resp) {
   std::ostringstream os;
@@ -98,7 +175,7 @@ bool HttpServer::Start(int port, Handler handler, std::string* error) {
     return false;
   }
   std::string bind_error;
-  listen_fd_ = ListenLoopback(port, kListenBacklog, &port_, &bind_error);
+  listen_fd_ = ListenLoopback(port, &port_, &bind_error);
   if (listen_fd_ < 0) {
     if (error != nullptr) *error = bind_error;
     port_ = -1;
@@ -116,7 +193,7 @@ void HttpServer::Stop() {
   stop_.store(true, std::memory_order_release);
   if (thread_.joinable()) thread_.join();
   running_.store(false, std::memory_order_release);
-  CloseFd(listen_fd_);
+  ::close(listen_fd_);
   listen_fd_ = -1;
   port_ = -1;
 }
@@ -132,36 +209,43 @@ void HttpServer::Run() {
     const int r = ::poll(&pfd, 1, 50);
     if (r < 0 && errno != EINTR) break;
     if (r <= 0 || (pfd.revents & POLLIN) == 0) continue;
-    int client = -1;
-    std::string diag;
-    switch (AcceptClient(listen_fd_, &client, &diag)) {
-      case AcceptStatus::kAccepted:
-        backoff_ms = 10;
-        ServeOne(client);
-        CloseFd(client);
-        break;
-      case AcceptStatus::kRetry:
-        break;
-      case AcceptStatus::kExhausted:
-        accept_backoffs_.fetch_add(1, std::memory_order_relaxed);
-        std::fprintf(stderr, "http server: %s\n", diag.c_str());
-        std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-        if (backoff_ms < 1000) backoff_ms *= 2;
-        break;
-      case AcceptStatus::kFatal:
-        std::fprintf(stderr, "http server: %s; stopping listener\n",
-                     diag.c_str());
-        return;
+    const int client = ::accept(listen_fd_, nullptr, nullptr);
+    if (client >= 0) {
+      backoff_ms = 10;
+      ServeOne(client);
+      ::close(client);
+      continue;
     }
+    const int err = errno;
+    // A signal (EINTR) or a peer that gave up leaves nothing to serve or a
+    // connection still pending: poll again.
+    if (err == EINTR || err == EAGAIN || err == EWOULDBLOCK ||
+        err == ECONNABORTED) {
+      continue;
+    }
+    if (err == EMFILE || err == ENFILE || err == ENOBUFS || err == ENOMEM) {
+      // Descriptor exhaustion: the connection stays in the listen backlog
+      // and is served once descriptors free up.
+      accept_backoffs_.fetch_add(1, std::memory_order_relaxed);
+      std::fprintf(stderr, "http server: accept: %s (fd exhaustion; "
+                   "backing off)\n", std::strerror(err));
+      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
+      if (backoff_ms < 1000) backoff_ms *= 2;
+      continue;
+    }
+    std::fprintf(stderr, "http server: accept: %s; stopping listener\n",
+                 std::strerror(err));
+    return;
   }
 }
 
 void HttpServer::ServeOne(int client_fd) {
   // Frame the request: headers up to the blank line, then Content-Length
   // bytes of body. One deadline covers the whole read, so a client that
-  // sends nothing, or drips bytes, holds this thread (and Stop()'s join)
-  // for at most kReadTimeoutMs; a request not complete by then is dropped
-  // unanswered.
+  // sends nothing, or drips bytes, holds this thread for at most
+  // kReadTimeoutMs; a request not complete by then is dropped unanswered.
+  // Reads wait in slices no longer than Run's 50 ms poll, and a Stop()
+  // landing mid-request drops it at the next slice.
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(kReadTimeoutMs);
   std::string data;
@@ -196,16 +280,17 @@ void HttpServer::ServeOne(int client_fd) {
               FormatResponse({413, "text/plain", "request too large\n"}));
       return;
     }
+    if (stop_.load(std::memory_order_acquire)) return;
     const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
                           deadline - std::chrono::steady_clock::now())
                           .count();
-    const int n =
-        left > 0
-            ? RecvSome(client_fd, buf, sizeof(buf), static_cast<int>(left))
-            : -1;
+    if (left <= 0) return;
+    const int n = RecvSome(client_fd, buf, sizeof(buf),
+                           left < 50 ? static_cast<int>(left) : 50);
+    if (n == -1) continue;  // slice over: re-check Stop() and the deadline
     if (n <= 0) {
       // A peer that closed after the headers is served the body it sent;
-      // the deadline passing (-1) or a socket error drops the request.
+      // a socket error drops the request.
       if (n == 0 && parsed) break;
       return;
     }

@@ -1,16 +1,19 @@
-// Tiny loopback HTTP/1.1 server + client for the experiment service.
+// Tiny loopback HTTP/1.1 server + client: the one HTTP stack in the repo.
+// The experiment service's control plane (serve/service.h) and the live
+// metrics endpoint (obs/publisher.h) both serve through HttpServer.
 //
-// The server generalizes obs/MetricsPublisher's poll()-based listener into a
-// route-agnostic control plane: one background thread, one connection at a
-// time (requests are short — JSON in, JSON out — and the scheduler does the
-// real work on its own threads), hardened accept via util/net.h (EINTR
-// retry, fd-exhaustion backoff, backlog sized for bursts of submitting
-// clients). Handlers run on the server thread and must be thread-safe
-// against the rest of the process.
+// The server is route-agnostic: one background thread, one connection at a
+// time (requests are short — JSON or a scrape in, text out — and callers do
+// their real work on their own threads). accept() is hardened: it retries
+// through EINTR (a SIGTERM aimed at graceful drain must not eat an unrelated
+// connection), and descriptor exhaustion backs off with a diagnostic while
+// the connection waits in a backlog sized for bursts of submitting clients.
+// Handlers run on the server thread and must be thread-safe against the
+// rest of the process.
 //
-// HttpFetch is the matching client used by tests and by workload_demo's
-// --server mode: loopback-only, Connection: close framing, so one call is
-// one socket.
+// HttpFetch is the matching client used by tests, the benchmark and
+// workload_demo's --server mode: loopback-only, Connection: close framing,
+// so one call is one socket.
 #pragma once
 
 #include <atomic>
@@ -50,7 +53,9 @@ class HttpServer {
   /// Returns false with *error set on bind failure.
   bool Start(int port, Handler handler, std::string* error = nullptr);
 
-  /// Stops the serving thread and closes the listener. Idempotent.
+  /// Stops the serving thread and closes the listener. A request still
+  /// being read is dropped within one 50 ms read slice, so a silent client
+  /// cannot hold Stop() for the read deadline. Idempotent.
   void Stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
@@ -74,7 +79,7 @@ class HttpServer {
   /// Deadline for one whole request, head and body, to arrive. Requests are
   /// loopback JSON blobs; a client slower than this is stuck, and the
   /// single serving thread drops it rather than stall every other request
-  /// (and Stop()) behind it.
+  /// behind it.
   static constexpr int kReadTimeoutMs = 2000;
 
  private:

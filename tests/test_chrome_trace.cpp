@@ -81,7 +81,7 @@ TEST(RunManifestTest, MakeRunManifestReflectsTopologyAndOptions) {
   EngineOptions probed = opts;
   CongestionTrace trace;
   MetricsRegistry metrics;
-  probed.probe = &trace;
+  probed.probes = {&trace};
   probed.metrics = &metrics;
   EXPECT_EQ(MakeRunManifest(topo, probed).engine_options_hash,
             m.engine_options_hash);
@@ -413,7 +413,7 @@ TEST(ChromeTraceWriterTest, EmittedTraceRoundTripsThroughPythonJson) {
   CongestionTrace trace;
   MetricsRegistry metrics;
   EngineOptions opts;
-  opts.probe = &trace;
+  opts.probes = {&trace};
   opts.metrics = &metrics;
   Engine engine(topo, opts);
   Network net(topo);

@@ -299,7 +299,7 @@ WorkloadResult RunPinned(const Topology& topo, const TrafficPattern& pattern,
   JourneyTracer::Options jopts;
   jopts.sample_rate = 1.0;
   JourneyTracer journeys(jopts);
-  eopts.probe = &probe;
+  eopts.probes = {&probe};
   eopts.journeys = &journeys;
   const WorkloadResult r = RunOpenLoop(topo, pattern, dopts, eopts);
   EXPECT_NE(r.route.journeys, nullptr);

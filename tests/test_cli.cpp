@@ -18,6 +18,7 @@ Cli MakeCli() {
   cli.AddInt("n", 8, "side length");
   cli.AddString("algo", "simple", "algorithm");
   cli.AddBool("verbose", false, "chatty output");
+  cli.AddDouble("gamma", 0.5, "shrink parameter");
   return cli;
 }
 
@@ -84,6 +85,8 @@ TEST(CliTest, WrongTypeAccessThrows) {
   ASSERT_TRUE(cli.Parse(1, argv));
   EXPECT_THROW(cli.GetInt("algo"), std::logic_error);
   EXPECT_THROW(cli.GetString("n"), std::logic_error);
+  EXPECT_THROW(cli.GetDouble("n"), std::logic_error);
+  EXPECT_THROW(cli.GetInt("gamma"), std::logic_error);
 }
 
 TEST(CliTest, DashedRegistrationIsNormalized) {
@@ -158,6 +161,53 @@ TEST(CliTest, BoolFlagAcceptsOnlyTheSixSpellings) {
   for (const char* arg :
        {"--verbose=maybe", "--verbose=2", "--verbose=on", "--verbose=",
         "--verbose=TRUE"}) {
+    Cli cli = MakeCli();
+    const char* argv[] = {"prog", arg};
+    EXPECT_FALSE(cli.Parse(2, argv)) << arg;
+  }
+}
+
+TEST(CliTest, DoubleFlagParsesRealValues) {
+  {
+    Cli cli = MakeCli();
+    const char* argv[] = {"prog"};
+    ASSERT_TRUE(cli.Parse(1, argv));
+    EXPECT_EQ(cli.GetDouble("gamma"), 0.5);
+    // The default prints as its shortest round-trip text.
+    EXPECT_NE(cli.Usage().find("(default: 0.5)"), std::string::npos);
+  }
+  for (const auto& [arg, want] :
+       {std::pair<const char*, double>{"--gamma=0.25", 0.25},
+        {"--gamma=-2.5", -2.5}, {"--gamma=3", 3.0}, {"--gamma=1e-3", 1e-3},
+        {"--gamma=.75", 0.75}}) {
+    Cli cli = MakeCli();
+    const char* argv[] = {"prog", arg};
+    ASSERT_TRUE(cli.Parse(2, argv)) << arg;
+    EXPECT_EQ(cli.GetDouble("gamma"), want) << arg;
+  }
+  Cli cli = MakeCli();
+  const char* argv[] = {"prog", "--gamma", "0.125"};
+  ASSERT_TRUE(cli.Parse(3, argv));
+  EXPECT_EQ(cli.GetDouble("gamma"), 0.125);
+}
+
+TEST(CliTest, DoubleFlagRejectsMalformedAndNonFiniteValues) {
+  {
+    Cli cli = MakeCli();
+    const char* argv[] = {"prog", "--gamma=abc"};
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(cli.Parse(2, argv));
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("flag '--gamma' expects a finite real number, got "
+                       "'abc'"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("flags:"), std::string::npos) << err;
+  }
+  for (const char* arg :
+       {"--gamma=", "--gamma=0.5x", "--gamma=0.5 ", "--gamma= 0.5",
+        "--gamma=+0.5", "--gamma=1,5", "--gamma=inf", "--gamma=-inf",
+        "--gamma=nan", "--gamma=1e999"}) {
     Cli cli = MakeCli();
     const char* argv[] = {"prog", arg};
     EXPECT_FALSE(cli.Parse(2, argv)) << arg;

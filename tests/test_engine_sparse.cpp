@@ -286,14 +286,14 @@ TEST(SparseVsDenseTest, ProbeReportsActiveSetSizeOnlyWhenSparse) {
   {
     ActiveProcsProbe probe;
     EngineOptions opts = Opts(SparseMode::kNever);
-    opts.probe = &probe;
+    opts.probes = {&probe};
     RunOnce(topo, net, opts);
     for (std::int64_t a : probe.active) EXPECT_EQ(a, -1);
   }
   {
     ActiveProcsProbe probe;
     EngineOptions opts = Opts(SparseMode::kAlways);
-    opts.probe = &probe;
+    opts.probes = {&probe};
     Network run = net;
     Engine engine(topo, opts);
     engine.Route(run);

@@ -11,6 +11,7 @@
 #include "fault/fault_plan.h"
 #include "net/engine.h"
 #include "net/network.h"
+#include "obs/probe.h"
 #include "util/rng.h"
 
 namespace mdmesh {
@@ -25,12 +26,12 @@ Packet MakePacket(std::int64_t id, ProcId dest, std::uint16_t klass = 0) {
   return pkt;
 }
 
-FlightRecord MakeRecord(std::int64_t step) {
-  FlightRecord rec;
-  rec.step = step;
-  rec.in_flight = 100 - step;
-  rec.moves = step * 2;
-  return rec;
+StepSnapshot MakeSnapshot(std::int64_t step) {
+  StepSnapshot snap;
+  snap.step = step;
+  snap.in_flight = 100 - step;
+  snap.moves = step * 2;
+  return snap;
 }
 
 std::string TempPath(const char* stem) {
@@ -46,7 +47,7 @@ std::string TempPath(const char* stem) {
 
 TEST(FlightRecorderTest, RetainsEverythingBelowCapacity) {
   FlightRecorder rec(8);
-  for (std::int64_t s = 1; s <= 5; ++s) rec.Append(MakeRecord(s));
+  for (std::int64_t s = 1; s <= 5; ++s) rec.Append(MakeSnapshot(s));
   EXPECT_EQ(rec.size(), 5u);
   EXPECT_EQ(rec.total_records(), 5);
   EXPECT_EQ(rec.dropped(), 0);
@@ -59,7 +60,7 @@ TEST(FlightRecorderTest, RetainsEverythingBelowCapacity) {
 
 TEST(FlightRecorderTest, WrapsAndCountsDropped) {
   FlightRecorder rec(4);
-  for (std::int64_t s = 1; s <= 10; ++s) rec.Append(MakeRecord(s));
+  for (std::int64_t s = 1; s <= 10; ++s) rec.Append(MakeSnapshot(s));
   EXPECT_EQ(rec.size(), 4u);
   EXPECT_EQ(rec.total_records(), 10);
   EXPECT_EQ(rec.dropped(), 6);
@@ -75,12 +76,12 @@ TEST(FlightRecorderTest, WrapsAndCountsDropped) {
 
 TEST(FlightRecorderTest, ClearResetsButKeepsCapacity) {
   FlightRecorder rec(4);
-  for (std::int64_t s = 1; s <= 6; ++s) rec.Append(MakeRecord(s));
+  for (std::int64_t s = 1; s <= 6; ++s) rec.Append(MakeSnapshot(s));
   rec.Clear();
   EXPECT_EQ(rec.size(), 0u);
   EXPECT_EQ(rec.total_records(), 0);
   EXPECT_EQ(rec.capacity(), 4u);
-  rec.Append(MakeRecord(42));
+  rec.Append(MakeSnapshot(42));
   EXPECT_EQ(rec.Last().step, 42);
 }
 
@@ -89,7 +90,7 @@ TEST(FlightRecorderTest, JsonCarriesManifestReasonAndRecords) {
   RunManifest m;
   m.seed = 1234;
   rec.set_manifest(m);
-  for (std::int64_t s = 1; s <= 3; ++s) rec.Append(MakeRecord(s));
+  for (std::int64_t s = 1; s <= 3; ++s) rec.Append(MakeSnapshot(s));
   const std::string json = rec.ToJson("watchdog");
   EXPECT_NE(json.find("\"manifest\""), std::string::npos);
   EXPECT_NE(json.find("\"reason\":\"watchdog\""), std::string::npos);
@@ -100,7 +101,7 @@ TEST(FlightRecorderTest, JsonCarriesManifestReasonAndRecords) {
 
 TEST(FlightRecorderTest, DumpWritesAtomicallyAndReportsFailure) {
   FlightRecorder rec(4);
-  rec.Append(MakeRecord(1));
+  rec.Append(MakeSnapshot(1));
   // No path set: refused, not crashed.
   EXPECT_FALSE(rec.Dump("step_cap"));
   const std::string path = TempPath("flight_dump");
@@ -232,6 +233,34 @@ TEST(FlightRecorderEngineTest, InterruptAbortsWithReasonAndClearsFlag) {
   }
   RouteResult r2 = engine.Route(net2);
   EXPECT_TRUE(r2.completed);
+}
+
+TEST(FlightRecorderEngineTest, ProbesSeeTheStepAnInterruptEndsOn) {
+  // The engine hands each step's snapshot to the recorder and every probe
+  // before it polls the interrupt flag, so a probe's series ends where the
+  // StallReport does, like the recorder's ring.
+  Topology topo(2, 8, Wrap::kMesh);
+  FlightRecorder recorder(64);
+  CongestionTrace trace;
+  EngineOptions opts;
+  opts.recorder = &recorder;
+  opts.probes = {&trace};
+  opts.invariants = InvariantMode::kOff;
+  Engine engine(topo, opts);
+  Network net(topo);
+  Rng rng(7);
+  const auto perm = rng.Permutation(topo.size());
+  for (ProcId p = 0; p < topo.size(); ++p) {
+    net.Add(p, MakePacket(p, static_cast<ProcId>(perm[static_cast<std::size_t>(p)])));
+  }
+  FlightRecorder::RequestInterrupt();
+  RouteResult r = engine.Route(net);
+  ASSERT_NE(r.stall_report, nullptr);
+  EXPECT_EQ(r.stall_report->reason, StallReason::kInterrupt);
+  ASSERT_FALSE(trace.samples().empty());
+  EXPECT_EQ(trace.samples().back().run_step, r.stall_report->step);
+  EXPECT_EQ(trace.total_steps(), recorder.total_records());
+  EXPECT_EQ(trace.samples().back().in_flight, recorder.Last().in_flight);
 }
 
 TEST(FlightRecorderEngineTest, RecordsCarryPerDimMovesAndCongestion) {

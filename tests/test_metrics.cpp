@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "net/engine.h"
 #include "routing/permutations.h"
 #include "util/rng.h"
@@ -154,39 +157,61 @@ TEST(MetricsTest, ToJsonMatchesMeasuredRun) {
   EXPECT_NE(json.find("\"completed\":true"), std::string::npos);
 }
 
-TEST(MetricsTest, ObserverSeesEveryStep) {
+/// Logs every snapshot it is handed; `order`, when set, records which probe
+/// ran, to pin the list order.
+class StepLog final : public StepProbe {
+ public:
+  explicit StepLog(int tag = 0, std::vector<int>* order = nullptr)
+      : tag_(tag), order_(order) {}
+  void OnStep(const StepSnapshot& snap) override {
+    steps.push_back(snap.step);
+    in_flight.push_back(snap.in_flight);
+    arrivals += snap.arrivals;
+    if (order_ != nullptr) order_->push_back(tag_);
+  }
+
+  std::vector<std::int64_t> steps;
+  std::vector<std::int64_t> in_flight;
+  std::int64_t arrivals = 0;
+
+ private:
+  int tag_;
+  std::vector<int>* order_;
+};
+
+TEST(MetricsTest, ProbesSeeEveryStep) {
   Topology topo(1, 8, Wrap::kMesh);
+  std::vector<int> order;
+  StepLog first(1, &order);
+  StepLog second(2, &order);
   EngineOptions opts;
-  std::int64_t calls = 0;
-  std::int64_t total_arrivals = 0;
-  std::int64_t last_in_flight = -1;
-  opts.observer = [&](std::int64_t step, std::int64_t in_flight,
-                      std::int64_t arrivals) {
-    ++calls;
-    EXPECT_EQ(step, calls);
-    total_arrivals += arrivals;
-    last_in_flight = in_flight;
-  };
+  opts.probes = {&first, &second};
   Engine engine(topo, opts);
   Network net(topo);
   Packet pkt;
   pkt.dest = 7;
   net.Add(0, pkt);
   RouteResult r = engine.Route(net);
-  EXPECT_EQ(calls, r.steps);
-  EXPECT_EQ(total_arrivals, 1);
-  EXPECT_EQ(last_in_flight, 0);
+  for (const StepLog* log : {&first, &second}) {
+    ASSERT_EQ(static_cast<std::int64_t>(log->steps.size()), r.steps);
+    for (std::size_t i = 0; i < log->steps.size(); ++i) {
+      EXPECT_EQ(log->steps[i], static_cast<std::int64_t>(i) + 1);
+    }
+    EXPECT_EQ(log->arrivals, 1);
+    EXPECT_EQ(log->in_flight.back(), 0);
+  }
+  // Each step reaches the probes in list order.
+  ASSERT_EQ(order.size(), 2 * first.steps.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], i % 2 == 0 ? 1 : 2);
+  }
 }
 
-TEST(MetricsTest, ObserverInFlightIsMonotoneForPermutations) {
+TEST(MetricsTest, ProbeInFlightIsMonotoneForPermutations) {
   Topology topo(2, 8, Wrap::kMesh);
+  StepLog log;
   EngineOptions opts;
-  std::int64_t prev = topo.size() + 1;
-  bool monotone = true;
-  opts.observer = [&](std::int64_t, std::int64_t in_flight, std::int64_t) {
-    if (in_flight > prev) monotone = false;
-    prev = in_flight;
-  };
+  opts.probes = {&log};
   Engine engine(topo, opts);
   Network net(topo);
   Rng rng(4);
@@ -198,6 +223,12 @@ TEST(MetricsTest, ObserverInFlightIsMonotoneForPermutations) {
     net.Add(p, pkt);
   }
   engine.Route(net);
+  std::int64_t prev = topo.size() + 1;
+  bool monotone = true;
+  for (const std::int64_t in_flight : log.in_flight) {
+    if (in_flight > prev) monotone = false;
+    prev = in_flight;
+  }
   EXPECT_TRUE(monotone);  // arrivals only remove packets from flight
 }
 

@@ -216,7 +216,7 @@ TEST(NetworkTest, RouteStorageFollowsOccupiedProcessors) {
       EngineOptions opts;
       opts.pool = &pool;
       opts.sparse = mode;
-      opts.probe = &probe;
+      opts.probes = {&probe};
       Engine engine(topo, opts);
       const RouteResult r = engine.Route(net);
       ASSERT_TRUE(r.completed);

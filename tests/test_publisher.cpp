@@ -10,12 +10,17 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 
+#include "net/engine.h"
+#include "net/network.h"
+#include "obs/probe.h"
 #include "obs/registry.h"
+#include "util/http.h"
 #include "util/thread_pool.h"
 
 namespace mdmesh {
@@ -25,32 +30,6 @@ std::string TempPath(const char* stem) {
   std::ostringstream os;
   os << "/tmp/" << stem << "_" << ::getpid() << ".json";
   return os.str();
-}
-
-/// Minimal blocking HTTP client: one GET, reads until the peer closes
-/// (the publisher always answers Connection: close).
-std::string HttpGet(int port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return "";
-  }
-  const std::string req = "GET " + path + " HTTP/1.1\r\nHost: localhost\r\n"
-                          "Connection: close\r\n\r\n";
-  (void)!::send(fd, req.data(), req.size(), 0);
-  std::string out;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    out.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -130,25 +109,30 @@ TEST(PublisherTest, ServesMetricsAndStatusOverHttp) {
   ASSERT_TRUE(pub.Start(opts));
   ASSERT_GT(pub.port(), 0);
 
-  const std::string metrics = HttpGet(pub.port(), "/metrics");
-  EXPECT_NE(metrics.find("200 OK"), std::string::npos);
-  EXPECT_NE(metrics.find("text/plain; version=0.0.4"), std::string::npos);
-  EXPECT_NE(metrics.find("mdmesh_engine_routes 3"), std::string::npos);
+  const HttpResult metrics = HttpFetch(pub.port(), "GET", "/metrics");
+  ASSERT_TRUE(metrics.ok) << metrics.error;
+  EXPECT_EQ(metrics.status, 200);
+  EXPECT_NE(metrics.body.find("mdmesh_engine_routes 3"), std::string::npos);
 
   // The endpoint renders on demand: a counter bumped after Start shows up.
   reg.counter("engine.routes").Add(2);
-  EXPECT_NE(HttpGet(pub.port(), "/metrics").find("mdmesh_engine_routes 5"),
+  EXPECT_NE(HttpFetch(pub.port(), "GET", "/metrics")
+                .body.find("mdmesh_engine_routes 5"),
             std::string::npos);
 
-  const std::string status = HttpGet(pub.port(), "/status");
-  EXPECT_NE(status.find("200 OK"), std::string::npos);
-  EXPECT_NE(status.find("application/json"), std::string::npos);
-  EXPECT_NE(status.find("\"metrics\""), std::string::npos);
+  const HttpResult status = HttpFetch(pub.port(), "GET", "/status");
+  EXPECT_EQ(status.status, 200);
+  EXPECT_NE(status.body.find("\"metrics\""), std::string::npos);
 
-  EXPECT_NE(HttpGet(pub.port(), "/nope").find("404"), std::string::npos);
-  EXPECT_GE(pub.requests_served(), 4);
+  // Paths match exactly; a query string is ignored; only GET is served.
+  EXPECT_EQ(HttpFetch(pub.port(), "GET", "/metrics?x=1").status, 200);
+  EXPECT_EQ(HttpFetch(pub.port(), "GET", "/metricsfoo").status, 404);
+  EXPECT_EQ(HttpFetch(pub.port(), "POST", "/metrics").status, 404);
+  EXPECT_EQ(HttpFetch(pub.port(), "GET", "/nope").status, 404);
+  EXPECT_EQ(pub.requests_served(), 7);
   pub.Stop();
   EXPECT_FALSE(pub.running());
+  EXPECT_EQ(pub.port(), -1);
   pub.Stop();  // idempotent
 }
 
@@ -160,24 +144,37 @@ TEST(PublisherTest, RequestSplitAcrossSegmentsIsServed) {
   opts.registry = &reg;
   opts.port = 0;
   ASSERT_TRUE(pub.Start(opts));
-  const int fd = ConnectLoopback(pub.port());
-  ASSERT_GE(fd, 0);
-  // Two sends with a pause between them: the publisher's first recv sees
-  // only "GET /met" and must keep reading until the blank line.
-  const std::string first = "GET /met";
-  const std::string second = "rics HTTP/1.1\r\nHost: localhost\r\n\r\n";
-  (void)!::send(fd, first.data(), first.size(), 0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  (void)!::send(fd, second.data(), second.size(), 0);
-  std::string out;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    out.append(buf, static_cast<std::size_t>(n));
+  // Two sends with a pause between them: the server's first recv sees only
+  // "GET /met" (or "GET /sta") and must keep reading until the blank line.
+  // Raw sockets, so the reply's Content-Type header is visible too.
+  const struct {
+    const char* first;
+    const char* second;
+    const char* content_type;
+    const char* body;
+  } cases[] = {
+      {"GET /met", "rics HTTP/1.1\r\nHost: localhost\r\n\r\n",
+       "Content-Type: text/plain; version=0.0.4", "mdmesh_engine_routes 4"},
+      {"GET /sta", "tus HTTP/1.1\r\nHost: localhost\r\n\r\n",
+       "Content-Type: application/json", "\"metrics\""},
+  };
+  for (const auto& c : cases) {
+    const int fd = ConnectLoopback(pub.port());
+    ASSERT_GE(fd, 0);
+    (void)!::send(fd, c.first, std::strlen(c.first), 0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    (void)!::send(fd, c.second, std::strlen(c.second), 0);
+    std::string out;
+    char buf[4096];
+    ssize_t n;
+    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+      out.append(buf, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+    EXPECT_NE(out.find("200 OK"), std::string::npos) << out;
+    EXPECT_NE(out.find(c.content_type), std::string::npos) << out;
+    EXPECT_NE(out.find(c.body), std::string::npos) << out;
   }
-  ::close(fd);
-  EXPECT_NE(out.find("200 OK"), std::string::npos) << out;
-  EXPECT_NE(out.find("mdmesh_engine_routes 4"), std::string::npos);
   pub.Stop();
 }
 
@@ -190,10 +187,10 @@ TEST(PublisherTest, SilentClientCannotBlockStop) {
   ASSERT_TRUE(pub.Start(opts));
   const int fd = ConnectLoopback(pub.port());
   ASSERT_GE(fd, 0);
-  // Let the publisher accept the connection (it polls every 50 ms), so
-  // Stop() lands while ServeOne waits on a client that never sends.
+  // Let the server accept the connection (it polls every 50 ms), so Stop()
+  // lands while the request read waits on a client that never sends.
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  // Safety net: without a read deadline Stop() would wait for the peer to
+  // Safety net: without a bounded read Stop() would wait for the peer to
   // close; closing after 10 s turns that hang into a timing failure.
   std::atomic<bool> stopped{false};
   std::thread closer([&] {
@@ -211,7 +208,9 @@ TEST(PublisherTest, SilentClientCannotBlockStop) {
   closer.join();
   ::close(fd);
   EXPECT_FALSE(pub.running());
-  EXPECT_LE(ms, MetricsPublisher::kRequestTimeoutMs + 500);
+  // Stop() drops the half-read request within one 50 ms read slice, far
+  // inside the read deadline.
+  EXPECT_LE(ms, HttpServer::kReadTimeoutMs / 4);
   EXPECT_EQ(pub.requests_served(), 0);
 }
 
@@ -315,35 +314,63 @@ TEST(RegistryConcurrencyTest, ConcurrentReadersSeeConsistentSnapshots) {
 // ---------------------------------------------------------------------------
 // Progress meter.
 
+StepSnapshot Snapshot(std::int64_t step, std::int64_t in_flight,
+                      std::int64_t arrivals) {
+  StepSnapshot snap;
+  snap.step = step;
+  snap.in_flight = in_flight;
+  snap.arrivals = arrivals;
+  return snap;
+}
+
 TEST(ProgressMeterTest, RateLimitsAndFormatsHeartbeat) {
   // force=false and a redirected stderr: nothing printed, but the meter
   // still formats lines internally so the cadence is testable.
   ProgressMeter meter(/*step_cap=*/1000, /*interval_ms=*/1, /*force=*/false);
-  meter.Step(1, 500, 10);  // inside the first interval: no line yet
+  meter.OnStep(Snapshot(1, 500, 10));  // inside the first interval: no line
   EXPECT_EQ(meter.lines_emitted(), 0);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  meter.Step(50, 450, 10);
+  meter.OnStep(Snapshot(50, 450, 10));
   ASSERT_GE(meter.lines_emitted(), 1);
   EXPECT_NE(meter.last_line().find("step 50/1000"), std::string::npos);
   EXPECT_NE(meter.last_line().find("in-flight 450"), std::string::npos);
   meter.Finish();
   EXPECT_NE(meter.last_line().find("done"), std::string::npos);
   const std::int64_t lines = meter.lines_emitted();
-  meter.Step(60, 440, 10);  // after Finish: silent
-  meter.Finish();           // idempotent
+  meter.OnStep(Snapshot(60, 440, 10));  // after Finish: silent
+  meter.Finish();                       // idempotent
   EXPECT_EQ(meter.lines_emitted(), lines);
 }
 
-TEST(ProgressMeterTest, ObserverAdapterMatchesEngineSignature) {
+TEST(ProgressMeterTest, AttachesToARouteAsAProbe) {
+  // A probe ahead of the meter in the list outlasts the 1 ms interval on
+  // every step, so the meter emits one line per step.
+  struct Slow final : StepProbe {
+    void OnStep(const StepSnapshot&) override {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  } slow;
   ProgressMeter meter(0, 1, false);
-  const auto observer = meter.Observer();
-  observer(1, 10, 2);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  observer(2, 8, 2);
-  EXPECT_GE(meter.lines_emitted(), 1);
+  Topology topo(1, 8, Wrap::kMesh);
+  EngineOptions opts;
+  opts.probes = {&slow, &meter};
+  Engine engine(topo, opts);
+  Network net(topo);
+  Packet pkt;
+  pkt.dest = 7;
+  net.Add(0, pkt);
+  const RouteResult r = engine.Route(net);
+  ASSERT_TRUE(r.completed);
+  EXPECT_EQ(meter.lines_emitted(), r.steps);
   // No step cap: the line has no ETA, just the step and rate.
-  EXPECT_NE(meter.last_line().find("step 2"), std::string::npos);
+  EXPECT_NE(meter.last_line().find("step " + std::to_string(r.steps) +
+                                   "  in-flight 0"),
+            std::string::npos)
+      << meter.last_line();
   EXPECT_EQ(meter.last_line().find("eta"), std::string::npos);
+  meter.Finish();
+  EXPECT_NE(meter.last_line().find("done: 1 delivered"), std::string::npos)
+      << meter.last_line();
 }
 
 }  // namespace

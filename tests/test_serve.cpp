@@ -35,12 +35,12 @@
 #include "obs/flight_recorder.h"
 #include "obs/probe.h"
 #include "obs/registry.h"
-#include "serve/http.h"
 #include "serve/journal.h"
 #include "serve/json_value.h"
 #include "serve/run_spec.h"
 #include "serve/scheduler.h"
 #include "serve/service.h"
+#include "util/http.h"
 #include "util/thread_pool.h"
 #include "workload/driver.h"
 #include "workload/patterns.h"
@@ -400,11 +400,10 @@ TEST(HashEngineOptions, IgnoresObservabilityAndExecutionHooks) {
 
   EngineOptions o;
   o.metrics = &registry;
-  o.probe = &trace;
+  o.probes = {&trace};
   o.pool = &pool;
   o.recorder = &recorder;
   o.checkpoint = &ckpt;
-  o.observer = [](std::int64_t, std::int64_t, std::int64_t) {};
   EXPECT_EQ(HashEngineOptions(o), h0);
 }
 
@@ -539,6 +538,36 @@ TEST(HttpServer, DripFeedingClientCannotHoldTheServer) {
   EXPECT_EQ(r.status, 200);
   EXPECT_LE(ms, HttpServer::kReadTimeoutMs + 1000);
   EXPECT_EQ(server.requests_served(), 1);  // the drip was never answered
+}
+
+TEST(HttpServer, StopDoesNotWaitForASilentClient) {
+  HttpServer server;
+  ASSERT_TRUE(server.Start(0, [](const HttpRequest&) -> HttpResponse {
+    return {200, "text/plain", "ok"};
+  }));
+  // A raw client that connects and never sends a byte.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  // Let the server accept it (it polls every 50 ms), so Stop() lands while
+  // the request read waits on the silent client.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const auto t0 = std::chrono::steady_clock::now();
+  server.Stop();
+  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+  ::close(fd);
+  EXPECT_FALSE(server.running());
+  // The read waits in 50 ms slices and gives up once Stop() is called; it
+  // does not run out the 2 s read deadline.
+  EXPECT_LE(ms, HttpServer::kReadTimeoutMs / 4);
+  EXPECT_EQ(server.requests_served(), 0);
 }
 
 // ---------------------------------------------------------------------------

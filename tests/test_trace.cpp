@@ -297,7 +297,7 @@ class RecordingProbe : public StepProbe {
 RouteResult RouteRandomPermutation(const Topology& topo, StepProbe* probe,
                                    std::uint64_t seed) {
   EngineOptions opts;
-  opts.probe = probe;
+  if (probe != nullptr) opts.probes = {probe};
   Engine engine(topo, opts);
   Network net(topo);
   Rng rng(seed);

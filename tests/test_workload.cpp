@@ -207,7 +207,7 @@ RunTrace RunTraced(const Topology& topo, const TrafficPattern& pattern,
   eopts.pool = pool;
   eopts.injector = &rec;
   eopts.faults = faults;
-  eopts.probe = probe;
+  if (probe != nullptr) eopts.probes = {probe};
   eopts.journeys = journeys;
   Engine engine(topo, eopts);
   Network net(topo);
@@ -379,11 +379,10 @@ TEST(OpenLoop, ObservabilitySinksDoNotPerturbDeliveries) {
     EngineOptions eopts;
     eopts.pool = &pool;
     eopts.injector = &rec;
-    eopts.probe = &probe;
+    eopts.probes = {&probe, &meter};
     eopts.metrics = &metrics;
     eopts.recorder = &recorder;
     eopts.journeys = &journeys;
-    eopts.observer = meter.Observer();
     pool.set_activity(&activity);
     // The publisher thread snapshots the registry concurrently with the
     // route, exactly as a live `--metrics-port` run would.
